@@ -38,14 +38,20 @@ public:
 /// Netlist text could not be parsed; carries a line number when known.
 class parse_error : public error {
 public:
-    explicit parse_error(const std::string& what) : error("parse: " + what) {}
+    explicit parse_error(const std::string& what) : error("parse: " + what), detail_(what) {}
     parse_error(const std::string& what, int line)
-        : error("parse: line " + std::to_string(line) + ": " + what), line_(line) {}
+        : error("parse: line " + std::to_string(line) + ": " + what), detail_(what),
+          line_(line) {}
 
     /// 1-based netlist line, or -1 when unknown.
     [[nodiscard]] int line() const noexcept { return line_; }
 
+    /// The message without its "parse: line N: " prefix, so a caller that
+    /// knows the line can rethrow a line-less error located.
+    [[nodiscard]] const std::string& detail() const noexcept { return detail_; }
+
 private:
+    std::string detail_;
     int line_ = -1;
 };
 

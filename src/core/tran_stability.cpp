@@ -140,10 +140,8 @@ tran_stability_result measure_tran_stability(spice::circuit& c, const std::strin
     r.solver = m.raw.solver;
     r.ringing = m.ringing_freq_hz > 0.0;
 
-    bool finite = true;
-    for (const real v : y)
-        if (!std::isfinite(v))
-            finite = false;
+    // A response that outgrew double range ends the run early: unstable.
+    const bool finite = !m.raw.diverged;
 
     // Envelope statistics of the post-step deviation.
     const real swing = m.final_value - m.initial_value;

@@ -95,6 +95,18 @@ void linearized_snapshot::assemble(real omega, numeric::csc_matrix<cplx>& out) c
         v[k] = gvals_[k] + omega * bvals_[k];
 }
 
+linearized_snapshot::real_pencil linearized_snapshot::pencil() const
+{
+    std::vector<real> g(gvals_.size());
+    std::vector<real> c(bvals_.size());
+    for (std::size_t k = 0; k < g.size(); ++k) {
+        g[k] = gvals_[k].real();
+        c[k] = bvals_[k].imag();
+    }
+    return {numeric::csc_matrix<real>(n_, n_, col_ptr_, row_idx_, std::move(g)),
+            numeric::csc_matrix<real>(n_, n_, col_ptr_, row_idx_, std::move(c))};
+}
+
 std::shared_ptr<const numeric::symbolic_lu<cplx>>
 linearized_snapshot::shared_symbolic(real omega_ref, numeric::column_ordering ordering) const
 {

@@ -74,6 +74,18 @@ public:
     /// Fill `out` (a workspace from make_workspace()) with Y(j w).
     void assemble(real omega, numeric::csc_matrix<cplx>& out) const;
 
+    /// The real MNA pencil behind Y(j w) = G + j w C, both on the shared
+    /// pattern (same col_ptr/row_idx, entry k of one aligned with entry k
+    /// of the other): G from the w = 0 values, C from the per-rad/s part
+    /// B = jC. Stamps have the form a + j w c, so nothing is dropped.
+    /// Pole analysis reads its pencil here, so it solves exactly the
+    /// matrices the sweeps factor.
+    struct real_pencil {
+        numeric::csc_matrix<real> g;
+        numeric::csc_matrix<real> c;
+    };
+    [[nodiscard]] real_pencil pencil() const;
+
     /// The shared symbolic LU of this snapshot's pattern: pivot order and
     /// L/U structure chosen from the values at omega_ref under the given
     /// column ordering, computed lazily once and handed to every sweep

@@ -100,43 +100,109 @@ std::string ladder_netlist(const gen_options& opt)
     return out;
 }
 
+namespace {
+
+    [[nodiscard]] std::string mesh_node(std::size_t i, std::size_t j)
+    {
+        return "n" + std::to_string(i) + "_" + std::to_string(j);
+    }
+
+    /// The driven k x k RC grid shared by rcmesh and loopmesh.
+    void append_mesh(std::string& out, std::size_t k, const gen_options& opt)
+    {
+        out += "vin src 0 1 ac 1\n";
+        out += "rdrv src " + mesh_node(0, 0) + " ";
+        append_value(out, opt.r);
+        out += "\n";
+        std::size_t re = 0;
+        std::size_t ce = 0;
+        for (std::size_t i = 0; i < k; ++i) {
+            for (std::size_t j = 0; j < k; ++j) {
+                if (j + 1 < k) {
+                    out += "rh" + std::to_string(re++) + " " + mesh_node(i, j) + " "
+                        + mesh_node(i, j + 1) + " ";
+                    append_value(out, opt.r);
+                    out += "\n";
+                }
+                if (i + 1 < k) {
+                    out += "rv" + std::to_string(re++) + " " + mesh_node(i, j) + " "
+                        + mesh_node(i + 1, j) + " ";
+                    append_value(out, opt.r);
+                    out += "\n";
+                }
+                out += "c" + std::to_string(ce++) + " " + mesh_node(i, j) + " 0 ";
+                append_value(out, opt.c);
+                out += "\n";
+            }
+        }
+    }
+
+    /// One loop cell as a .subckt with port `tap`, coupled through
+    /// 100 kOhm so the loop keeps its own poles: a parallel RLC tank or a
+    /// two-pole gm loop. `scale` multiplies the cell's capacitors, moving
+    /// its poles off every other cell's.
+    void append_cell(std::string& out, const std::string& name, bool tank, real scale)
+    {
+        const auto cap = [scale](real c) {
+            std::string v;
+            append_value(v, c * scale);
+            return v;
+        };
+        out += ".subckt " + name + " tap\n";
+        if (tank) {
+            // rlc_tank.sp: fn = 1 MHz, zeta = 0.2.
+            out += "r1 tank 0 397.887\nl1 tank 0 25.3303u\nc1 tank 0 " + cap(1e-9)
+                + "\nrc tank tap 100k\n";
+        } else {
+            // two_pole_loop.sp: closed-loop pair near 3.2 MHz, zeta ~0.16.
+            out += "vin in 0 0\ng1 0 s1 in fb 0.01\nr1 s1 0 10k\nc1 s1 0 " + cap(15.9155e-9)
+                + "\ng2 0 out s1 0 0.01\nr2 out 0 10k\nc2 out 0 " + cap(15.9155e-12)
+                + "\nvprobe out fb 0\nrbleed fb 0 1e12\nrc out tap 100k\n";
+        }
+        out += ".ends\n";
+    }
+
+} // namespace
+
 std::string rcmesh_netlist(const gen_options& opt)
 {
     check(opt);
     const std::size_t k = std::max<std::size_t>(2, isqrt_round(opt.size));
-    const auto node = [](std::size_t i, std::size_t j) {
-        return "n" + std::to_string(i) + "_" + std::to_string(j);
-    };
     std::string out;
     reserve_estimate(out, k * k, 96, 256);
     out += "* generated " + std::to_string(k) + "x" + std::to_string(k)
         + " RC mesh (acstab gen rcmesh)\n";
-    out += "vin src 0 1 ac 1\n";
-    out += "rdrv src " + node(0, 0) + " ";
-    append_value(out, opt.r);
-    out += "\n";
-    std::size_t re = 0;
-    std::size_t ce = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-        for (std::size_t j = 0; j < k; ++j) {
-            if (j + 1 < k) {
-                out += "rh" + std::to_string(re++) + " " + node(i, j) + " " + node(i, j + 1)
-                    + " ";
-                append_value(out, opt.r);
-                out += "\n";
-            }
-            if (i + 1 < k) {
-                out += "rv" + std::to_string(re++) + " " + node(i, j) + " " + node(i + 1, j)
-                    + " ";
-                append_value(out, opt.r);
-                out += "\n";
-            }
-            out += "c" + std::to_string(ce++) + " " + node(i, j) + " 0 ";
-            append_value(out, opt.c);
-            out += "\n";
-        }
+    append_mesh(out, k, opt);
+    append_stability_card(out, mesh_node(k / 2, k / 2), opt);
+    return out;
+}
+
+std::string loopmesh_netlist(const gen_options& opt)
+{
+    check(opt);
+    constexpr std::size_t cells = 4;
+    const std::size_t k = std::max<std::size_t>(4, isqrt_round(opt.size));
+    const std::size_t interior = (k - 2) * (k - 2);
+    std::string out;
+    reserve_estimate(out, k * k, 96, 512 * cells);
+    out += "* generated " + std::to_string(k) + "x" + std::to_string(k)
+        + " RC mesh with loop cells (acstab gen loopmesh)\n";
+    std::string instances;
+    std::string probe;
+    for (std::size_t t = 0; t < cells; ++t) {
+        const std::string id = std::to_string(t);
+        const std::string name = "cell" + id;
+        append_cell(out, name, t % 2 == 0, 1.0 + 0.13 * static_cast<real>(t));
+        // Sites spread evenly over the interior nodes.
+        const std::size_t at = (2 * t + 1) * interior / (2 * cells);
+        const std::string site = mesh_node(1 + at / (k - 2), 1 + at % (k - 2));
+        instances += "x" + id + " " + site + " " + name + "\n";
+        if (t == 0)
+            probe = site;
     }
-    append_stability_card(out, node(k / 2, k / 2), opt);
+    append_mesh(out, k, opt);
+    out += instances;
+    append_stability_card(out, probe, opt);
     return out;
 }
 
@@ -146,7 +212,10 @@ std::string generate_netlist(const std::string& kind, const gen_options& opt)
         return ladder_netlist(opt);
     if (kind == "rcmesh")
         return rcmesh_netlist(opt);
-    throw analysis_error("gen: unknown netlist kind '" + kind + "' (ladder | rcmesh)");
+    if (kind == "loopmesh")
+        return loopmesh_netlist(opt);
+    throw analysis_error("gen: unknown netlist kind '" + kind
+                         + "' (ladder | rcmesh | loopmesh)");
 }
 
 } // namespace acstab::gen

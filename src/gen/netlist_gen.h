@@ -16,6 +16,9 @@
 //           fill stress. The count heuristic degenerates to the natural
 //           order here (every interior column has equal degree) and
 //           fills like n * k; minimum degree stays near n * log n.
+//   loopmesh the rcmesh grid carrying closed-loop cells (tanks and
+//           two-pole loops): a large circuit with near-axis poles for
+//           pole analysis and the impedance criterion.
 //
 // Each netlist carries a .stability card probing a representative node,
 // so generated files work directly with `acstab run`, `acstab farm plan`
@@ -49,8 +52,17 @@ struct gen_options {
 /// Driven k x k RC mesh, k = round(sqrt(size)) (at least 2).
 [[nodiscard]] std::string rcmesh_netlist(const gen_options& opt = {});
 
-/// Dispatch by kind ("ladder" | "rcmesh"); throws analysis_error on an
-/// unknown kind.
+/// The rcmesh grid (k at least 4) with four loop cells at interior
+/// nodes, each a .subckt instance coupled through 100 kOhm: parallel RLC
+/// tanks (rlc_tank.sp) alternating with two-pole gm loops
+/// (two_pole_loop.sp), the first a tank, cell t's capacitors scaled by
+/// 1 + 0.13 t so no two cells share a pole. The .stability card probes
+/// the first tank's mesh node, which is also a valid impedance port (tank
+/// and node capacitor against the driven mesh).
+[[nodiscard]] std::string loopmesh_netlist(const gen_options& opt = {});
+
+/// Dispatch by kind ("ladder" | "rcmesh" | "loopmesh"); throws
+/// analysis_error on an unknown kind.
 [[nodiscard]] std::string generate_netlist(const std::string& kind,
                                            const gen_options& opt = {});
 

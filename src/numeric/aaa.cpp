@@ -397,21 +397,15 @@ std::vector<cplx> barycentric_nodal_roots(std::span<const real> nodes,
         // scaled values; loop and fold away another node.
     }
 
-    // Secular roots = eigenvalues of C = diag(z) - (1/S) u 1^T. The
-    // complex matrix is embedded as the real [[A, -B], [B, A]] whose
-    // spectrum is eig(C) together with its conjugate mirror.
+    // Secular roots = eigenvalues of C = diag(z) - (1/S) u 1^T; the
+    // Newton polish below drops the conjugate mirror the real embedding
+    // adds.
     const std::size_t m = z.size();
-    dense_matrix<real> em(2 * m, 2 * m);
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < m; ++j) {
-            const cplx cij = (i == j ? cplx{z[i], 0.0} : cplx{}) - v[i] / s_const;
-            em(i, j) = cij.real();
-            em(i, m + j) = -cij.imag();
-            em(m + i, j) = cij.imag();
-            em(m + i, m + j) = cij.real();
-        }
-    }
-    const std::vector<cplx> candidates = eigenvalues(std::move(em));
+    dense_matrix<cplx> cm(m, m);
+    for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < m; ++j)
+            cm(i, j) = (i == j ? cplx{z[i], 0.0} : cplx{}) - v[i] / s_const;
+    const std::vector<cplx> candidates = embedded_eigenvalues(cm);
 
     // Newton-polish every candidate on N itself, then keep converged
     // roots with a genuinely cancelling residual, deduplicated.

@@ -285,4 +285,21 @@ std::vector<cplx> eigenvalues(dense_matrix<real> a)
     return hessenberg_eigenvalues(a);
 }
 
+std::vector<cplx> embedded_eigenvalues(const dense_matrix<cplx>& m)
+{
+    const std::size_t n = m.rows();
+    if (n != m.cols())
+        throw numeric_error("eig: matrix must be square");
+    dense_matrix<real> em(2 * n, 2 * n);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            em(i, j) = m(i, j).real();
+            em(i, n + j) = -m(i, j).imag();
+            em(n + i, j) = m(i, j).imag();
+            em(n + i, n + j) = m(i, j).real();
+        }
+    }
+    return eigenvalues(std::move(em));
+}
+
 } // namespace acstab::numeric

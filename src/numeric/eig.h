@@ -30,6 +30,12 @@ void hessenberg(dense_matrix<real>& a);
 /// Eigenvalues of a general real square matrix (balances + reduces + QR).
 [[nodiscard]] std::vector<cplx> eigenvalues(dense_matrix<real> a);
 
+/// Eigenvalue candidates of a complex square matrix M = A + jB: the
+/// spectrum of its real embedding [[A, -B], [B, A]], which is eig(M)
+/// together with its conjugate mirror. Callers keep the genuine half
+/// with a residual check of their own.
+[[nodiscard]] std::vector<cplx> embedded_eigenvalues(const dense_matrix<cplx>& m);
+
 } // namespace acstab::numeric
 
 #endif // ACSTAB_NUMERIC_EIG_H

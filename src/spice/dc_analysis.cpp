@@ -12,6 +12,7 @@ namespace {
         bool converged = false;
         int iterations = 0;
         bool singular = false; ///< the linearized system could not be factored
+        bool non_finite = false; ///< the solve returned a non-finite value
     };
 
     /// Shortest round-trip number text for the non-convergence ladder
@@ -29,6 +30,9 @@ namespace {
     {
         if (out.singular)
             return "singular matrix after " + std::to_string(out.iterations)
+                + " iteration(s)";
+        if (out.non_finite)
+            return "non-finite solution after " + std::to_string(out.iterations)
                 + " iteration(s)";
         return "no convergence in " + std::to_string(out.iterations) + " iteration(s)";
     }
@@ -58,6 +62,14 @@ namespace {
                 out.singular = true;
                 out.iterations = it + 1;
                 return out; // singular at this continuation point
+            }
+
+            // A non-finite value never converges, and Newton cannot
+            // recover from it: give up on this continuation point.
+            if (!std::all_of(x_new.begin(), x_new.end(), [](real v) { return std::isfinite(v); })) {
+                out.non_finite = true;
+                out.iterations = it + 1;
+                return out;
             }
 
             bool converged = true;

@@ -38,7 +38,12 @@ namespace {
     private:
         [[noreturn]] void fail(const std::string& what) const
         {
-            throw parse_error("expression '" + std::string(text_) + "': " + what);
+            // Quote at most a line's worth of a runaway expression.
+            constexpr std::size_t shown = 60;
+            const std::string quoted = text_.size() <= shown
+                ? std::string(text_)
+                : std::string(text_.substr(0, shown)) + "...";
+            throw parse_error("expression '" + quoted + "': " + what);
         }
 
         void skip_ws()
@@ -93,6 +98,18 @@ namespace {
         }
 
         real factor()
+        {
+            // Every nesting path (parentheses, signs, exponents, calls)
+            // recurses through here, so this one count bounds the stack.
+            if (depth_ == max_depth)
+                fail("nested deeper than " + std::to_string(max_depth) + " levels");
+            ++depth_;
+            const real v = signed_power();
+            --depth_;
+            return v;
+        }
+
+        real signed_power()
         {
             // Unary minus binds looser than '^' (so -2^2 = -4), while the
             // exponent itself may carry a sign (2^-3).
@@ -245,9 +262,14 @@ namespace {
             fail("unknown function '" + name + "'");
         }
 
+        /// Deepest nesting accepted: far beyond any real netlist, far
+        /// below what overflows a worker thread's stack.
+        static constexpr int max_depth = 1000;
+
         std::string_view text_;
         const parameter_table& params_;
         std::size_t pos_ = 0;
+        int depth_ = 0;
     };
 
 } // namespace

@@ -15,7 +15,8 @@ namespace acstab::spice {
 using parameter_table = std::unordered_map<std::string, real>;
 
 /// Evaluate an expression against a parameter table.
-/// Throws parse_error on malformed input or unknown identifiers.
+/// Throws parse_error on malformed input, unknown identifiers, or nesting
+/// deeper than 1000 levels.
 [[nodiscard]] real evaluate_expression(std::string_view text, const parameter_table& params);
 
 } // namespace acstab::spice

@@ -170,6 +170,20 @@ namespace {
             throw parse_error(what, line.number);
         }
 
+        /// Run one card's handler; a parse_error raised without a line
+        /// (an expression, a number literal) is rethrown with this card's.
+        template <class F>
+        void located(const logical_line& line, F&& handle)
+        {
+            try {
+                handle();
+            } catch (const parse_error& e) {
+                if (e.line() >= 0)
+                    throw;
+                fail(line, e.detail());
+            }
+        }
+
         [[nodiscard]] real value(const logical_line& line, const std::string& token) const
         {
             if (token.size() >= 2 && token.front() == '{' && token.back() == '}')
@@ -211,11 +225,11 @@ namespace {
                     continue;
                 }
                 if (head == ".param") {
-                    parse_param(line);
+                    located(line, [&] { parse_param(line); });
                     continue;
                 }
                 if (head == ".model") {
-                    parse_model(line);
+                    located(line, [&] { parse_model(line); });
                     continue;
                 }
                 if (head == ".end")
@@ -299,6 +313,12 @@ namespace {
 
         void dispatch(const logical_line& line, const std::string& prefix,
                       const std::unordered_map<std::string, std::string>* ports, int depth)
+        {
+            located(line, [&] { dispatch_card(line, prefix, ports, depth); });
+        }
+
+        void dispatch_card(const logical_line& line, const std::string& prefix,
+                           const std::unordered_map<std::string, std::string>* ports, int depth)
         {
             const std::string& head = line.tokens[0];
             const char kind = static_cast<char>(std::tolower(static_cast<unsigned char>(head[0])));

@@ -14,6 +14,7 @@ namespace {
         int iterations = 0;
         real worst_delta = 0.0; ///< largest unknown update of the last iteration
         bool singular = false;  ///< the companion system could not be factored
+        bool non_finite = false; ///< the solve returned a non-finite value
     };
 
     /// Shortest round-trip number text for the non-convergence ladder
@@ -31,6 +32,9 @@ namespace {
     {
         if (out.singular)
             return "singular matrix after " + std::to_string(out.iterations)
+                + " iteration(s)";
+        if (out.non_finite)
+            return "non-finite solution after " + std::to_string(out.iterations)
                 + " iteration(s)";
         return "no convergence in " + std::to_string(out.iterations)
             + " iteration(s) (last max update " + format_value(out.worst_delta) + ")";
@@ -84,6 +88,14 @@ namespace {
                 }
             } catch (const numeric_error&) {
                 out.singular = true;
+                out.iterations = it + 1;
+                return out;
+            }
+
+            // A non-finite value never converges, and Newton cannot
+            // recover from it: give up on this step size.
+            if (!std::all_of(x_new.begin(), x_new.end(), [](real v) { return std::isfinite(v); })) {
+                out.non_finite = true;
                 out.iterations = it + 1;
                 return out;
             }
@@ -171,9 +183,10 @@ tran_result transient(circuit& c, const tran_options& opt)
         }
 
         bool accepted = false;
+        bool only_non_finite = true;
         const real dt_first = dt;
         std::string ladder;
-        while (!accepted) {
+        while (!accepted && !res.diverged) {
             tran_params p;
             p.t0 = t;
             p.t1 = t + dt;
@@ -194,9 +207,12 @@ tran_result transient(circuit& c, const tran_options& opt)
                 force_be = false;
             } else {
                 log_rung(ladder, "dt=" + format_value(dt) + ": " + describe_outcome(out));
+                only_non_finite = only_non_finite && out.non_finite;
                 dt *= 0.5;
                 hits_bp = false;
-                if (dt < dt_min)
+                if (dt < dt_min && only_non_finite)
+                    res.diverged = true; // the response outgrew double range
+                else if (dt < dt_min)
                     throw convergence_error(
                         "transient: Newton failed at t = " + format_value(t)
                         + " s advancing toward t = " + format_value(t + dt_first)
@@ -204,6 +220,8 @@ tran_result transient(circuit& c, const tran_options& opt)
                         + format_value(dt_min) + " s (dt * dtmin_factor) reached");
             }
         }
+        if (res.diverged)
+            break;
         if (hits_bp) {
             ++next_bp;
             force_be = true; // restart the integrator across the corner

@@ -51,6 +51,11 @@ struct tran_result {
     std::vector<std::vector<real>> solution; ///< [step][unknown]
     /// Shared-path solver counters (all zero on the one-shot/dense path).
     tran_solver_stats solver;
+    /// Set when every step size from the last stored time on gave a
+    /// non-finite solution: the response grew past double range (an
+    /// unstable loop), so the run stops there and the waveform ends
+    /// before tstop. Never a reason to report non-finite samples.
+    bool diverged = false;
 
     [[nodiscard]] std::size_t step_count() const noexcept { return time.size(); }
 

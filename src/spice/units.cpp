@@ -39,13 +39,11 @@ std::optional<real> try_parse_spice_number(std::string_view text)
         return std::nullopt;
 
     std::string_view tail = body.substr(static_cast<std::size_t>(r.ptr - body.data()));
-    if (tail.empty())
-        return value;
 
     // Multiplier suffix; everything after it must be letters (unit names).
     double scale = 1.0;
     std::size_t consumed = 0;
-    const char c0 = lower(tail[0]);
+    const char c0 = tail.empty() ? '\0' : lower(tail[0]);
     if (tail.size() >= 3 && c0 == 'm' && lower(tail[1]) == 'e' && lower(tail[2]) == 'g') {
         scale = 1e6;
         consumed = 3;
@@ -68,6 +66,11 @@ std::optional<real> try_parse_spice_number(std::string_view text)
     for (std::size_t i = consumed; i < tail.size(); ++i)
         if (!std::isalpha(static_cast<unsigned char>(tail[i])))
             return std::nullopt;
+    // Only a whole well-formed token is a number ("inf_gain" stays a
+    // name), but from_chars also reads "nan" and "inf", and a suffix can
+    // overflow (1e300t): a netlist value must be finite.
+    if (!std::isfinite(value * scale))
+        throw parse_error("non-finite number '" + std::string(text) + "'");
     return value * scale;
 }
 

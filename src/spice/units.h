@@ -16,7 +16,10 @@ namespace acstab::spice {
 
 /// Parse a SPICE number such as "2.2u", "10MEG", "1e-9", "4k7" is NOT
 /// supported (that is an E-series idiom, not SPICE). Returns nullopt on
-/// malformed input.
+/// malformed input. Throws parse_error on a well-formed literal that is
+/// not finite ("nan", "inf", or 1e300t overflowing its multiplier): no
+/// caller may read it as a number, nor fall back to reading it as a
+/// keyword.
 [[nodiscard]] std::optional<real> try_parse_spice_number(std::string_view text);
 
 /// Parse or throw acstab::parse_error.

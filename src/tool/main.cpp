@@ -16,6 +16,7 @@
 //                                                      (plan once, execute
 //                                                      shards anywhere, merge
 //                                                      deterministically)
+#include <algorithm>
 #include <cctype>
 #include <csignal>
 #include <cstdio>
@@ -78,6 +79,24 @@ using namespace acstab::tool;
     tuning.supernodal = !opt.no_supernodal;
     tuning.warm_pipeline = opt.warm_pipeline;
     return tuning;
+}
+
+/// --fstart/--fstop -> the band the sparse pole search covers.
+[[nodiscard]] analysis::pole_zero_options pole_options(const cli_options& opt)
+{
+    analysis::pole_zero_options popt;
+    popt.fmin_hz = opt.fstart;
+    popt.fmax_hz = opt.fstop;
+    return popt;
+}
+
+/// A warning line when the sparse pole search doubts its own list.
+void print_pole_search_gaps(const analysis::pole_search_result& found)
+{
+    if (!found.complete())
+        std::printf("Warning: the sparse pole search may have missed poles in the band "
+                    "(%zu unconfirmed estimates, %zu crowded shifts).\n",
+                    found.unconfirmed, found.crowded_shifts);
 }
 
 int cmd_op(spice::circuit& c, const cli_options&)
@@ -143,6 +162,11 @@ int cmd_tran(spice::circuit& c, const cli_options& opt)
     topt.tuning.simd = tuning.simd;
     const spice::tran_result res = spice::transient(c, topt);
     const std::vector<real> v = spice::node_waveform(c, res, opt.node);
+    if (res.diverged)
+        std::fprintf(stderr,
+                     "tran: the response grew past double range; the waveform ends at "
+                     "t = %.6g s\n",
+                     res.time.back());
     if (opt.solver_stats)
         std::fprintf(stderr,
                      "solver: %zu solves, %zu symbolic builds, %zu pattern rebuilds, "
@@ -243,10 +267,11 @@ int cmd_impedance(spice::circuit& c, const cli_options& opt)
     core::stability_analyzer an(c, sopt);
     std::fputs(core::format_node_summary(an.analyze_node(opt.node)).c_str(), stdout);
 
-    bool poles_stable = true;
-    for (const analysis::pole& p : analysis::circuit_poles(c, an.operating_point()))
-        if (p.s.real() > 1e-6 * std::abs(p.s))
-            poles_stable = false;
+    const analysis::pole_search_result found
+        = analysis::search_circuit_poles(c, an.operating_point(), pole_options(opt));
+    print_pole_search_gaps(found);
+    const bool poles_stable = std::none_of(found.poles.begin(), found.poles.end(),
+                                           analysis::is_right_half_plane);
     std::fputs(core::format_impedance_crosscheck(res, poles_stable, "pencil pole analysis")
                    .c_str(),
                stdout);
@@ -265,8 +290,17 @@ int cmd_pz(spice::circuit& c, const cli_options& opt)
                         p.is_complex ? "  (complex pair)" : "");
         }
     };
-    std::puts("finite poles of the linearized circuit:");
-    print(analysis::circuit_poles(c, an.operating_point()));
+    const analysis::pole_search_result found
+        = analysis::search_circuit_poles(c, an.operating_point(), pole_options(opt));
+    if (found.sparse)
+        std::printf("poles in %s .. %s with zeta <= 0.5, plus every right-half-plane pole "
+                    "in the band (sparse search, %zu unknowns):\n",
+                    spice::format_frequency(opt.fstart).c_str(),
+                    spice::format_frequency(opt.fstop).c_str(), c.unknown_count());
+    else
+        std::puts("finite poles of the linearized circuit:");
+    print_pole_search_gaps(found);
+    print(found.poles);
     if (!opt.node.empty()) {
         std::printf("\nzeros of the driving-point impedance at node '%s':\n",
                     opt.node.c_str());
@@ -387,7 +421,7 @@ void write_text_atomic(const std::string& text, const std::string& out_path)
     }
 }
 
-/// acstab gen ladder|rcmesh --size N [--out FILE] [band opts]: emit a
+/// acstab gen ladder|rcmesh|loopmesh --size N [--out FILE] [band opts]: emit a
 /// generated stress netlist (the size-scaling bench corpus) to --out or
 /// stdout. Takes no input netlist, so it dispatches before the loader.
 int cmd_gen(int argc, char** argv)
@@ -395,7 +429,8 @@ int cmd_gen(int argc, char** argv)
     const cli_options opt = parse_cli_options(argc - 2, argv + 2,
                                               /*allow_positionals=*/true);
     if (opt.positionals.size() != 1)
-        throw analysis_error("gen: usage: acstab gen ladder|rcmesh --size N [--out FILE]");
+        throw analysis_error(
+            "gen: usage: acstab gen ladder|rcmesh|loopmesh --size N [--out FILE]");
     gen::gen_options gopt;
     if (opt.size != 0)
         gopt.size = opt.size;
@@ -811,13 +846,17 @@ void print_usage()
     std::puts("              to -1, and (with --adaptive) closed-loop pole estimates");
     std::puts("              from the AAA fit of Z_s/Z_l, cross-checked against the");
     std::puts("              stability plot and the pencil poles");
-    std::puts("  pz          poles of the linearized circuit");
+    std::printf("  pz          poles of the linearized circuit: all of them below %zu\n",
+                analysis::sparse_pole_min_unknowns);
+    std::puts("              unknowns, else those in --fstart..--fstop with zeta <= 0.5");
+    std::puts("              plus every right-half-plane pole in that band (sparse");
+    std::puts("              search; it warns when it may have missed some)");
     std::puts("  loopgain    loop-gain probe   (--probe VSOURCE)");
     std::puts("  run         execute the netlist's .op/.ac/.tran/.stability cards;");
     std::puts("              .ac/.tran cards need --node to pick the plotted output,");
     std::puts("              and sweep options below apply per card");
     std::puts("  gen         emit a generated stress netlist to --out or stdout:");
-    std::puts("              gen ladder|rcmesh --size N [--fstart/--fstop/--ppd]");
+    std::puts("              gen ladder|rcmesh|loopmesh --size N [--fstart/--fstop/--ppd]");
     std::puts("  farm        corner/TEMP campaigns, shardable across processes:");
     std::puts("              plan  <netlist> --node N [--temps T,..] [--corner n:p=v,..]*");
     std::puts("                    [--param p=v1,v2,..]* [sweep opts] [--out plan.json]");

@@ -14,8 +14,8 @@ namespace acstab::tool {
 struct cli_options {
     std::string node;
     std::string probe;
-    real fstart = 1e3;
-    real fstop = 1e9;
+    real fstart = default_fstart_hz;
+    real fstop = default_fstop_hz;
     std::size_t ppd = 50;
     real tstop = 0.0;
     real dt = 0.0;

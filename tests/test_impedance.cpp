@@ -32,10 +32,8 @@ using namespace acstab;
 {
     spice::parsed_netlist net = load(netlist);
     const spice::dc_result op = spice::dc_operating_point(net.ckt);
-    for (const analysis::pole& p : analysis::circuit_poles(net.ckt, op.solution))
-        if (p.s.real() > 1e-6 * std::abs(p.s))
-            return false;
-    return true;
+    const std::vector<analysis::pole> poles = analysis::circuit_poles(net.ckt, op.solution);
+    return std::none_of(poles.begin(), poles.end(), analysis::is_right_half_plane);
 }
 
 struct workload {

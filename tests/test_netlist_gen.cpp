@@ -87,12 +87,30 @@ TEST(netlist_gen, rcmesh_accepts_hundred_thousand_nodes)
     EXPECT_THROW((void)gen::ladder_netlist(opt), analysis_error);
 }
 
+TEST(netlist_gen, loopmesh_carries_cells_on_the_rcmesh_grid)
+{
+    gen::gen_options opt;
+    opt.size = 100; // k = 10
+    const std::string text = gen::loopmesh_netlist(opt);
+    spice::parsed_netlist net = spice::parse_netlist(text);
+    for (const char* node : {"src", "n0_0", "n9_9", "x0.tank", "x1.out", "x2.tank", "x3.out"})
+        EXPECT_TRUE(net.ckt.find_node(node).has_value()) << node;
+    EXPECT_FALSE(net.ckt.find_node("x3.s2").has_value());
+
+    // The card probes the first tank's mesh node (the port its 100 kOhm
+    // coupling hangs off).
+    ASSERT_EQ(net.analyses.size(), 1u);
+    const std::string port = net.analyses.front().node;
+    EXPECT_NE(text.find("x0 " + port + " cell0"), std::string::npos) << port;
+}
+
 TEST(netlist_gen, generate_dispatches_and_is_deterministic)
 {
     gen::gen_options opt;
     opt.size = 12;
     EXPECT_EQ(gen::generate_netlist("ladder", opt), gen::ladder_netlist(opt));
     EXPECT_EQ(gen::generate_netlist("rcmesh", opt), gen::rcmesh_netlist(opt));
+    EXPECT_EQ(gen::generate_netlist("loopmesh", opt), gen::loopmesh_netlist(opt));
     EXPECT_EQ(gen::ladder_netlist(opt), gen::ladder_netlist(opt));
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 #include "core/analyzer.h"
@@ -295,6 +296,57 @@ TEST(parser, error_reporting_with_line_numbers)
     expect_line("t\nX1 a b nosub\n", 2);              // unknown subckt
     expect_line("t\n.subckt s a\nR1 a 0 1k\n", -1);   // unterminated subckt
     expect_line("t\n.ac oct 10 1 2\n", 2);            // unsupported sweep
+}
+
+TEST(parser, non_finite_values_rejected_with_line)
+{
+    const auto expect_line = [](const char* text, int line) {
+        try {
+            (void)parse_netlist(text);
+            FAIL() << "expected parse_error";
+        } catch (const parse_error& e) {
+            EXPECT_EQ(e.line(), line) << e.what();
+            EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos) << e.what();
+        }
+    };
+    expect_line("t\nv1 1 0 nan\nr1 1 0 1k\n.end\n", 2);
+    expect_line("t\nv1 1 0 1\nr1 1 0 inf\n.end\n", 3);
+    expect_line("t\n.param a = nan\nr1 1 0 {a}\n.end\n", 2);
+    expect_line("t\n.subckt s p\nc1 p 0 -inf\n.ends\nv1 1 0 1\nx1 1 s\n.end\n", 3);
+}
+
+TEST(parser, names_beginning_with_inf_or_nan_stay_names)
+{
+    // from_chars reads "inf"/"nan" off the front of these; the rest of
+    // the token makes them names, never non-finite numbers.
+    const parsed_netlist net = parse_netlist("t\n.param inf_x = 2\n.param g = inf_x\n"
+                                             "v1 nan_1 0 1\nr1 nan_1 0 {g}\n"
+                                             ".stability nan_1 1k 1g\n.end\n");
+    EXPECT_DOUBLE_EQ(net.parameters.at("g"), 2.0);
+    ASSERT_EQ(net.analyses.size(), 1u);
+    EXPECT_EQ(net.analyses.front().node, "nan_1");
+}
+
+TEST(parser, expression_depth_is_bounded)
+{
+    // Nesting this deep used to overflow the stack of the recursive
+    // evaluator; it must be a located parse error instead.
+    const auto netlist = [](std::size_t depth, char open) {
+        const std::string close = open == '(' ? std::string(depth, ')') : std::string();
+        return "t\n.param x={" + std::string(depth, open) + "2" + close
+            + "}\nv1 1 0 1\nr1 1 0 {x}\n.end\n";
+    };
+    for (const char open : {'(', '-'}) {
+        try {
+            (void)parse_netlist(netlist(20000, open));
+            FAIL() << "20k-deep expression must be rejected";
+        } catch (const parse_error& e) {
+            EXPECT_EQ(e.line(), 2) << e.what();
+            EXPECT_NE(std::string(e.what()).find("nested deeper"), std::string::npos);
+        }
+    }
+    EXPECT_NO_THROW((void)parse_netlist(netlist(200, '(')));
+    EXPECT_DOUBLE_EQ(parse_netlist(netlist(200, '-')).parameters.at("x"), 2.0);
 }
 
 TEST(parser, duplicate_and_malformed)

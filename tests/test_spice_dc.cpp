@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 #include "circuits/bias.h"
@@ -253,6 +254,23 @@ TEST(dc, non_convergence_error_reports_the_attempted_ladder)
         EXPECT_NE(what.find("singular matrix"), std::string::npos) << what;
         EXPECT_NE(what.find("gmin stepping"), std::string::npos) << what;
         EXPECT_NE(what.find("source stepping"), std::string::npos) << what;
+    }
+}
+
+TEST(dc, non_finite_solution_never_converges)
+{
+    // A NaN update fails every "delta > tol" test, so it once counted as
+    // converged. Every rung must now reject it by name.
+    circuit c;
+    const node_id n = c.node("n");
+    c.add<vsource>("v1", n, ground_node, std::nan(""));
+    c.add<resistor>("r1", n, ground_node, 1e3);
+    try {
+        (void)dc_operating_point(c);
+        FAIL() << "a NaN source must not converge";
+    } catch (const convergence_error& e) {
+        EXPECT_NE(std::string(e.what()).find("non-finite solution"), std::string::npos)
+            << e.what();
     }
 }
 

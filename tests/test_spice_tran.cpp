@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "spice/circuit.h"
+#include "spice/devices/controlled.h"
 #include "spice/devices/passive.h"
 #include "spice/devices/sources.h"
 #include "spice/measure.h"
@@ -162,6 +165,29 @@ TEST(tran, breakpoints_are_hit_exactly)
         if (std::fabs(t - 1.05e-6) < 1e-12)
             found_edge_start = true;
     EXPECT_TRUE(found_edge_start);
+}
+
+TEST(tran, unbounded_growth_ends_the_run_as_diverged)
+{
+    // An LC tank across a negative conductance (a VCCS feeding its own
+    // node) rings up without bound: 50 nepers per microsecond outgrow
+    // double range within tstop. The run must stop at the last finite
+    // point and say so, not store NaN samples as converged steps.
+    circuit c;
+    const node_id n = c.node("n");
+    c.add<isource>("i1", ground_node, n, waveform_spec::make_step(0.0, 1e-3, 0.0, 1e-9));
+    c.add<vccs>("gneg", ground_node, n, n, ground_node, 0.01);
+    c.add<inductor>("l1", n, ground_node, 1e-6);
+    c.add<capacitor>("c1", n, ground_node, 1e-10);
+    tran_options opt;
+    opt.tstop = 50e-6;
+    opt.dt = 1e-9;
+    const tran_result res = transient(c, opt);
+    EXPECT_TRUE(res.diverged);
+    EXPECT_LT(res.time.back(), opt.tstop);
+    for (const std::vector<real>& x : res.solution)
+        for (const real v : x)
+            ASSERT_TRUE(std::isfinite(v));
 }
 
 TEST(tran, rejects_bad_tstop)

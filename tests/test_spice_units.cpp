@@ -87,6 +87,20 @@ TEST(units, malformed_rejected)
     EXPECT_THROW(parse_spice_number("oops"), parse_error);
 }
 
+TEST(units, non_finite_literals_rejected)
+{
+    // from_chars reads these; a netlist value must never carry them.
+    for (const char* text : {"nan", "NaN", "inf", "-inf", "infinity"})
+        EXPECT_THROW((void)try_parse_spice_number(text), parse_error) << text;
+    EXPECT_FALSE(try_parse_spice_number("+inf").has_value()); // '+' only before digits
+    EXPECT_THROW((void)try_parse_spice_number("1e300t"), parse_error); // overflows
+    EXPECT_FALSE(try_parse_spice_number("1e999").has_value());         // out of range
+    EXPECT_DOUBLE_EQ(*try_parse_spice_number("1e300"), 1e300);
+    // A name that merely begins with a non-finite literal is not a number.
+    for (const char* text : {"inf_gain", "inf2", "nan_1"})
+        EXPECT_FALSE(try_parse_spice_number(text).has_value()) << text;
+}
+
 TEST(units, engineering_format)
 {
     EXPECT_EQ(format_engineering(0.0), "0");

@@ -1,50 +1,36 @@
 // A5 — large-circuit solver scaling on the generated stress corpus
-// (`acstab gen`, src/gen/netlist_gen.h): the PR 6 ablation, extended in
-// PR 9 with the supernodal/approx-ordering/pipelined round-2 stack.
+// (`acstab gen`, src/gen/netlist_gen.h).
 //
 //   * fill table: L+U nonzeros of the shared symbolic factorization under
-//     the column pre-orderings (none / count / amd / amd-approx) on RC
-//     ladders and 2-D RC meshes. The mesh is the discriminating workload
-//     — every interior column has the same degree, so the count heuristic
-//     degenerates to the natural order and fills like n*k while minimum
-//     degree stays near n*log n; amd-approx must track exact amd's fill.
-//     CI asserts the >= 2x reduction from the amd rows of this table.
+//     the natural order and approximate minimum degree on RC ladders and
+//     2-D RC meshes. The mesh is the discriminating workload — the
+//     natural order fills like n*k while minimum degree stays near
+//     n*log n. CI asserts the >= 2x reduction from the rcmesh rows of
+//     this table.
 //   * phase breakdown ("scaling_phase" rows): wall time of each solver
-//     phase in isolation — exact vs approximate minimum-degree ordering,
-//     the full symbolic analysis, one numeric refactorization on the
-//     column vs the supernodal path, and one 24-RHS batched back-solve
-//     on each path (with the blocked-vs-column solution equivalence
-//     recorded as max_rel_err). CI's perf-ratio guard reads the
-//     refactor_column / refactor_supernodal pair of this table.
+//     phase in isolation — the approximate-minimum-degree ordering, the
+//     full symbolic analysis, one numeric refactorization on the column
+//     vs the supernodal path, and one 24-RHS batched back-solve on each
+//     path (with the blocked-vs-column solution equivalence recorded as
+//     max_rel_err). CI's perf-ratio guard reads the refactor_column /
+//     refactor_supernodal pair of this table.
 //   * sweep ablation: wall time per frequency point of a serial
-//     injection sweep under the stacked solver configurations —
-//       pr5            count ordering, scalar kernel, cold refactor per
-//                      frequency (the PR 5 solver path, the baseline)
-//       amd            minimum-degree ordering only
-//       amd_simd       + the split real/imag vectorized batch kernel
-//       amd_simd_warm  + frequency-coherence warm-started refactorization
-//       amdx_simd      approximate minimum degree + SIMD (column path)
-//       amdx_sn_simd   + the supernodal/blocked numeric path (the PR 9
+//     injection sweep under the solver configurations, all on
+//     approximate minimum degree —
+//       amdx_scalar    column path, scalar batch kernel (the baseline)
+//       amdx_simd      + the split real/imag vectorized batch kernel
+//       amdx_sn_simd   + the supernodal/blocked numeric path (the
 //                      default configuration)
-//       amdx_sn_pipe   + the pipelined warm start (the next point's
-//                      refactorization runs on a pool worker while this
-//                      point's batches solve; bit-identical to cold)
-//     with each configuration's answers checked against the first
-//     configuration run at that size and the warm accept/fallback
-//     counters reported. The ablation runs in both right-hand-side
-//     regimes because they favor opposite configurations: 24 probes (the
-//     all-nodes stability shape — the regime the classic warm start
-//     loses; the pipelined variant stays correct here and wins given a
-//     spare core, though a core-starved host pays a ~1.1-1.2x
-//     contention tax at 8k — see the CI tripwire) and 1 probe (the
-//     single-node stability / ac / impedance / loopgain shape). The
-//     scalar column modes are skipped above ~4k unknowns in the 24-probe
-//     regime (hours of wall clock for a known-overtaken configuration).
+//     with each configuration's answers checked against the baseline.
+//     The ablation runs in both right-hand-side regimes: 24 probes (the
+//     all-nodes stability shape) and 1 probe (the single-node stability
+//     / ac / impedance / loopgain shape).
 //
-// Prints tables plus one machine-readable ACSTAB_BENCH_JSON line; the
-// committed BENCH_9.json at the repo root is this line's array (see
-// README "Benchmarks"). --quick restricts sizes/grids for the CI smoke
-// job; this binary registers no google-benchmark cases.
+// Prints tables plus one machine-readable ACSTAB_BENCH_JSON line (see
+// README "Benchmarks"; BENCH_9.json at the repo root is an older run
+// that still carries rows of retired modes). --quick restricts
+// sizes/grids for the CI smoke job; this binary registers no
+// google-benchmark cases.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -79,10 +65,7 @@ struct row {
     long long probes = -1;      ///< right-hand sides of the sweep ablation
     long long lu_nnz = -1;      ///< L+U nonzeros of the symbolic pattern
     double ms_per_freq = -1.0;  ///< sweep wall time / frequency count
-    long long factors = -1;     ///< cold numeric factorizations
-    long long warm_accepts = -1;
-    long long warm_fallbacks = -1;
-    double max_rel_err = 0.0;   ///< vs the pr5 baseline magnitudes
+    double max_rel_err = 0.0;   ///< vs the amdx_scalar baseline magnitudes
 };
 
 std::vector<row>& results()
@@ -98,11 +81,9 @@ void emit_json()
         const row& r = results()[i];
         std::printf("%s{\"bench\":\"%s\",\"kind\":\"%s\",\"unknowns\":%zu,"
                     "\"mode\":\"%s\",\"probes\":%lld,\"lu_nnz\":%lld,\"ms_per_freq\":%.5f,"
-                    "\"factors\":%lld,\"warm_accepts\":%lld,\"warm_fallbacks\":%lld,"
                     "\"max_rel_err\":%.3g}",
                     i == 0 ? "" : ",", r.bench.c_str(), r.kind.c_str(), r.unknowns,
-                    r.mode.c_str(), r.probes, r.lu_nnz, r.ms_per_freq, r.factors,
-                    r.warm_accepts, r.warm_fallbacks, r.max_rel_err);
+                    r.mode.c_str(), r.probes, r.lu_nnz, r.ms_per_freq, r.max_rel_err);
     }
     std::puts("]");
 }
@@ -133,25 +114,15 @@ struct workload {
     }
 };
 
-const char* ordering_name(numeric::column_ordering o)
-{
-    switch (o) {
-    case numeric::column_ordering::none: return "none";
-    case numeric::column_ordering::count: return "count";
-    case numeric::column_ordering::amd: return "amd";
-    case numeric::column_ordering::amd_approx: return "amd-approx";
-    }
-    return "?";
-}
-
-/// L+U nonzero counts of the symbolic pattern under each pre-ordering,
-/// on the complex MNA matrix assembled at the band's middle frequency.
+/// L+U nonzero counts of the symbolic pattern under the natural order
+/// and approximate minimum degree, on the complex MNA matrix assembled at
+/// the band's middle frequency.
 void print_fill_table(const std::vector<std::size_t>& sizes)
 {
     std::puts("==============================================================================");
     std::puts("A5a — symbolic fill (L+U nonzeros) vs column pre-ordering, generated corpus");
     std::puts("==============================================================================");
-    std::puts("kind     unknowns    A nnz      none      count        amd amd-approx  amd/cnt");
+    std::puts("kind     unknowns    A nnz      none  amd-approx  none/amdx");
     std::puts("------------------------------------------------------------------------------");
     for (const std::string kind : {"ladder", "rcmesh"}) {
         for (const std::size_t size : sizes) {
@@ -159,28 +130,27 @@ void print_fill_table(const std::vector<std::size_t>& sizes)
             const engine::linearized_snapshot snap(w.net.ckt, w.op, {});
             numeric::csc_matrix<cplx> work = snap.make_workspace();
             snap.assemble(to_omega(1e6), work);
-            std::size_t nnz[4] = {0, 0, 0, 0};
-            for (const auto o : {numeric::column_ordering::none,
-                                 numeric::column_ordering::count,
-                                 numeric::column_ordering::amd,
-                                 numeric::column_ordering::amd_approx}) {
+            const auto fill = [&](numeric::column_ordering o, const char* name) {
                 numeric::lu_options lopt;
                 lopt.ordering = o;
                 const numeric::symbolic_lu<cplx> sym(work, lopt);
-                nnz[static_cast<int>(o)] = sym.lower_nnz() + sym.upper_nnz();
-                results().push_back({"scaling_fill", kind, snap.size(), ordering_name(o), -1,
-                                     static_cast<long long>(nnz[static_cast<int>(o)])});
-            }
-            std::printf("%-8s %8zu %8zu  %8zu   %8zu   %8zu   %8zu   %5.2fx\n", kind.c_str(),
-                        snap.size(), work.nnz(), nnz[0], nnz[1], nnz[2], nnz[3],
-                        static_cast<double>(nnz[1]) / static_cast<double>(nnz[2]));
+                const std::size_t nnz = sym.lower_nnz() + sym.upper_nnz();
+                results().push_back({"scaling_fill", kind, snap.size(), name, -1,
+                                     static_cast<long long>(nnz)});
+                return nnz;
+            };
+            const std::size_t none = fill(numeric::column_ordering::none, "none");
+            const std::size_t amdx = fill(numeric::column_ordering::amd_approx, "amd-approx");
+            std::printf("%-8s %8zu %8zu  %8zu    %8zu     %5.2fx\n", kind.c_str(), snap.size(),
+                        work.nnz(), none, amdx,
+                        static_cast<double>(none) / static_cast<double>(amdx));
         }
     }
     std::puts("");
 }
 
-/// Wall time of each solver phase in isolation — ordering (exact vs
-/// approximate minimum degree), full symbolic analysis, one numeric
+/// Wall time of each solver phase in isolation — approximate minimum
+/// degree ordering, full symbolic analysis, one numeric
 /// refactorization and one 24-RHS batched back-solve on the column and
 /// the supernodal paths — plus the blocked-vs-column solution agreement.
 void print_phase_breakdown(const std::vector<std::size_t>& sizes, int repeats)
@@ -188,7 +158,7 @@ void print_phase_breakdown(const std::vector<std::size_t>& sizes, int repeats)
     std::puts("==============================================================================");
     std::puts("A5d — per-phase wall time [ms], column vs supernodal numeric paths");
     std::puts("==============================================================================");
-    std::puts("kind     unknowns  order_amd  order_amdx  symbolic  refac_col  refac_sn  "
+    std::puts("kind     unknowns  order_amdx  symbolic  refac_col  refac_sn  "
               "solve24_col  solve24_sn  sn err");
     std::puts("------------------------------------------------------------------------------");
     for (const std::string kind : {"ladder", "rcmesh"}) {
@@ -208,9 +178,6 @@ void print_phase_breakdown(const std::vector<std::size_t>& sizes, int repeats)
             };
 
             std::vector<std::size_t> order;
-            const double ms_amd = best_of([&] {
-                order = numeric::minimum_degree_order(n, work.col_ptr(), work.row_idx());
-            });
             const double ms_amdx = best_of([&] {
                 order = numeric::approx_minimum_degree_order(n, work.col_ptr(), work.row_idx());
             });
@@ -254,16 +221,13 @@ void print_phase_breakdown(const std::vector<std::size_t>& sizes, int repeats)
                     err = std::max(err, std::abs(xc[i] - xb[i]) / mag);
             }
 
-            std::printf("%-8s %8zu   %8.2f    %8.2f  %8.2f   %8.2f  %8.2f     %8.3f    "
-                        "%8.3f  %.2g\n",
-                        kind.c_str(), n, ms_amd, ms_amdx, ms_sym, ms_refac_col, ms_refac_sn,
+            std::printf("%-8s %8zu    %8.2f  %8.2f   %8.2f  %8.2f     %8.3f    %8.3f  %.2g\n",
+                        kind.c_str(), n, ms_amdx, ms_sym, ms_refac_col, ms_refac_sn,
                         ms_solve_col, ms_solve_sn, err);
             const auto phase_row = [&](const char* mode, double ms, long long probes,
                                        double rel_err) {
-                results().push_back({"scaling_phase", kind, n, mode, probes, -1, ms, -1, -1,
-                                     -1, rel_err});
+                results().push_back({"scaling_phase", kind, n, mode, probes, -1, ms, rel_err});
             };
-            phase_row("order_amd", ms_amd, -1, 0.0);
             phase_row("order_amd_approx", ms_amdx, -1, 0.0);
             phase_row("symbolic", ms_sym, -1, 0.0);
             phase_row("refactor_column", ms_refac_col, -1, 0.0);
@@ -275,26 +239,6 @@ void print_phase_breakdown(const std::vector<std::size_t>& sizes, int repeats)
     std::puts("");
 }
 
-struct sweep_mode {
-    const char* name;
-    engine::solver_tuning tuning;
-    /// Skip this configuration above ~4k unknowns (the scalar column
-    /// modes: hours of wall clock for a known-overtaken path).
-    bool skip_large = false;
-};
-
-engine::solver_tuning make_tuning(numeric::column_ordering ordering, bool simd, bool warm,
-                                  bool supernodal, bool pipeline)
-{
-    engine::solver_tuning t;
-    t.ordering = ordering;
-    t.simd = simd;
-    t.warm_start = warm;
-    t.supernodal = supernodal;
-    t.warm_pipeline = pipeline;
-    return t;
-}
-
 /// Serial batched injection sweep (the all-nodes stability shape: one
 /// unit-current stimulus per probed node) under one solver configuration.
 /// magnitude[ri][fi] of the response at the injected node.
@@ -302,13 +246,11 @@ std::vector<std::vector<real>> run_sweep(const workload& w,
                                          const engine::linearized_snapshot& snap,
                                          const std::vector<real>& freqs,
                                          const std::vector<engine::sweep_engine::injection>& inj,
-                                         const engine::solver_tuning& tuning,
-                                         engine::sweep_stats* stats)
+                                         const engine::solver_tuning& tuning)
 {
     engine::sweep_engine_options eopt;
     eopt.threads = 1;
     eopt.tuning = tuning;
-    eopt.stats = stats;
     std::vector<std::vector<real>> mag(inj.size(), std::vector<real>(freqs.size(), 0.0));
     engine::sweep_engine(eopt).run_injections(
         snap, freqs, inj,
@@ -330,28 +272,27 @@ double max_rel_err(const std::vector<std::vector<real>>& a,
     return worst;
 }
 
-/// Time per frequency point of the four solver configurations, serial,
-/// on a dense enough grid (40/decade) that neighboring points fall
-/// inside the warm-start eligibility window (ratio 1.059 < 1.1).
+/// Time per frequency point of each solver configuration, serial, on a
+/// 40-points-per-decade grid.
 void print_sweep_ablation(const char* title, std::size_t nprobes,
                           const std::vector<std::size_t>& sizes, int repeats)
 {
     std::puts("==============================================================================");
     std::printf("%s\n", title);
-    std::puts("      pr5 = count ordering + scalar kernel + cold refactor per frequency");
+    std::puts("      amdx_scalar = column path + scalar kernel (the baseline)");
     std::puts("==============================================================================");
-    std::puts("kind     unknowns  mode            ms/freq   speedup   cold   warm   max err");
+    std::puts("kind     unknowns  mode            ms/freq   speedup   max err");
     std::puts("------------------------------------------------------------------------------");
 
-    using co = numeric::column_ordering;
-    const std::vector<sweep_mode> modes = {
-        {"pr5", make_tuning(co::count, false, false, false, false), true},
-        {"amd", make_tuning(co::amd, false, false, false, false), true},
-        {"amd_simd", make_tuning(co::amd, true, false, false, false)},
-        {"amd_simd_warm", make_tuning(co::amd, true, true, false, false)},
-        {"amdx_simd", make_tuning(co::amd_approx, true, false, false, false)},
-        {"amdx_sn_simd", make_tuning(co::amd_approx, true, false, true, false)},
-        {"amdx_sn_pipe", make_tuning(co::amd_approx, true, false, true, true)},
+    struct sweep_mode {
+        const char* name;
+        bool simd;
+        bool supernodal;
+    };
+    const sweep_mode modes[] = {
+        {"amdx_scalar", false, false},
+        {"amdx_simd", true, false},
+        {"amdx_sn_simd", true, true},
     };
     const std::vector<real> freqs = numeric::log_grid(1e4, 1e7, 40);
 
@@ -375,42 +316,31 @@ void print_sweep_ablation(const char* title, std::size_t nprobes,
                     inj.push_back({k, cplx{1.0, 0.0}});
 
             std::vector<std::vector<real>> baseline;
-            double pr5_ms = 0.0;
+            double base_ms = 0.0;
             // Above ~4k unknowns a single pass is already seconds long and
             // far above timer noise; best-of-N only matters for the small
             // fast cases.
             const int reps = size > 4000 ? 1 : repeats;
             for (const sweep_mode& m : modes) {
-                if (m.skip_large && nprobes > 1 && size > 4000)
-                    continue;
-                engine::sweep_stats stats;
+                engine::solver_tuning tuning;
+                tuning.simd = m.simd;
+                tuning.supernodal = m.supernodal;
                 std::vector<std::vector<real>> mag;
                 double ms = 1e300;
-                for (int rep = 0; rep < reps; ++rep) {
-                    engine::sweep_stats fresh;
+                for (int rep = 0; rep < reps; ++rep)
                     ms = std::min(ms, time_ms([&] {
-                        mag = run_sweep(w, snap, freqs, inj, m.tuning, &fresh);
+                        mag = run_sweep(w, snap, freqs, inj, tuning);
                     }));
-                    if (rep + 1 == reps) {
-                        stats.cold_factors = fresh.cold_factors.load();
-                        stats.warm_accepts = fresh.warm_accepts.load();
-                        stats.warm_fallbacks = fresh.warm_fallbacks.load();
-                    }
-                }
                 const double per_freq = ms / static_cast<double>(freqs.size());
                 if (baseline.empty()) {
                     baseline = mag;
-                    pr5_ms = ms;
+                    base_ms = ms;
                 }
                 const double err = max_rel_err(baseline, mag);
-                std::printf("%-8s %8zu  %-14s %8.4f   %6.2fx  %5zu  %5zu   %.2g\n",
-                            kind.c_str(), snap.size(), m.name, per_freq, pr5_ms / ms,
-                            stats.cold_factors.load(), stats.warm_accepts.load(), err);
+                std::printf("%-8s %8zu  %-14s %8.4f   %6.2fx   %.2g\n", kind.c_str(),
+                            snap.size(), m.name, per_freq, base_ms / ms, err);
                 results().push_back({"scaling_sweep", kind, snap.size(), m.name,
-                                     static_cast<long long>(inj.size()), -1, per_freq,
-                                     static_cast<long long>(stats.cold_factors.load()),
-                                     static_cast<long long>(stats.warm_accepts.load()),
-                                     static_cast<long long>(stats.warm_fallbacks.load()), err});
+                                     static_cast<long long>(inj.size()), -1, per_freq, err});
             }
         }
     }
@@ -432,9 +362,7 @@ int main(int argc, char** argv)
                          "40 ppd)";
     if (quick) {
         // CI smoke: one ~2k-unknown point per kind, single timing pass,
-        // plus the 8k point the supernodal and pipelined perf guards
-        // read (the scalar column modes are skipped there, so it stays
-        // within the job's minutes budget).
+        // plus the 8k point the supernodal perf guard reads.
         print_fill_table({2048});
         print_phase_breakdown({2048, 8192}, 1);
         print_sweep_ablation(title24, 24, {2048, 8192}, 1);

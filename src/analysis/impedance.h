@@ -54,7 +54,7 @@ struct impedance_options {
     /// element at the partition node shunts it straight to ground (an RLC
     /// tank), where connectivity alone cannot tell the sides apart.
     std::vector<std::string> source_elements;
-    /// Sparse-solver tuning (ordering / SIMD kernel / warm start)
+    /// Sparse-solver tuning (ordering / SIMD kernel / supernodal path)
     /// forwarded to the sweep engine.
     engine::solver_tuning tuning;
     spice::dc_options dc;

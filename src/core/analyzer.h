@@ -56,7 +56,7 @@ struct stability_options {
     /// Relative natural-frequency tolerance when grouping nodes into loops.
     real group_rel_tol = 0.12;
     /// Sparse-solver tuning (column ordering, SIMD batch kernel,
-    /// warm-started refactorization) forwarded to the sweep engine.
+    /// supernodal path) forwarded to the sweep engine.
     engine::solver_tuning tuning;
     /// Options for the underlying operating-point solve.
     spice::dc_options dc;

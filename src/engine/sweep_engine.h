@@ -24,7 +24,6 @@
 #ifndef ACSTAB_ENGINE_SWEEP_ENGINE_H
 #define ACSTAB_ENGINE_SWEEP_ENGINE_H
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <span>
@@ -39,68 +38,28 @@ namespace acstab::engine {
 /// Sparse-solver tuning shared by every frequency-domain analysis (the
 /// stability analyzer, loop gain, impedance partitions, spice::ac_sweep
 /// and the farm executor all forward one of these into their engine
-/// options; the CLI exposes it as --order / --no-simd / --warm).
+/// options). None of the switches changes answers beyond rounding: the
+/// non-default settings are the oracles of the equivalence tests and
+/// the solver benches, and only C++ callers can set them.
 struct solver_tuning {
     /// Fill-reducing column pre-ordering of the shared symbolic LU.
-    /// Approximate minimum degree by default: fill within a few percent
-    /// of exact minimum degree everywhere we measure, with an ordering
-    /// cost that stays flat to hundreds of thousands of nodes. `amd`
-    /// (exact) and the cheap `count`/`none` heuristics remain as escape
-    /// hatches; the ordering never changes answers, only speed.
+    /// Approximate minimum degree by default, with an ordering cost that
+    /// stays flat to hundreds of thousands of nodes; `none` (natural
+    /// order) is the fill baseline. The ordering never changes answers,
+    /// only speed.
     numeric::column_ordering ordering = numeric::column_ordering::amd_approx;
     /// Vectorize the batched back-solve across the contiguous RHS block
     /// (numeric_lu's split real/imag SIMD kernel). Deterministic for a
     /// given batch shape, so thread count still never changes results;
     /// scalar and SIMD answers agree to rounding, not bit-for-bit.
     bool simd = true;
-    /// Frequency-coherence warm start: keep the neighboring frequency
-    /// point's numeric factors and iterate batched refinement against
-    /// the freshly assembled Y(jw) instead of refactoring, falling back
-    /// to a cold refactor through the two-tier guard (the free growth
-    /// witness, then the per-right-hand-side backward-error contract of
-    /// the refinement itself). Every accepted solve satisfies the same
-    /// backward-error tolerance as the cold guard (refactor_guard_tol).
-    /// Pays off once a factorization costs more than a handful of
-    /// batched back-solves — large fill-heavy circuits (meshes), not
-    /// near-tridiagonal ladders. OFF by default: the warm path makes a
-    /// chunk's results depend on the frequencies it solved before, so
-    /// results would vary with the thread count's chunk boundaries —
-    /// opt in per run (bench harnesses, serial sweeps, --warm).
-    bool warm_start = false;
     /// Supernodal/blocked numeric path: refactorization runs the blocked
     /// elimination over the symbolic supernode partition and the batched
     /// back-solve walks dense panels (numeric_lu::set_supernodal). ON by
     /// default — it is a pure speed knob; blocked and column answers
     /// agree to rounding (CI-guarded at 1e-12) exactly like the SIMD
-    /// kernel. --no-supernodal is the escape hatch / ablation axis.
+    /// kernel. The column path is the equivalence oracle.
     bool supernodal = true;
-    /// Pipelined warm start, the batched-regime variant of warm_start:
-    /// while a worker back-solves one grid point's RHS batches, the NEXT
-    /// point's matrix is assembled into a spare workspace and refactored
-    /// concurrently on a shared-pool worker; reaching that point adopts
-    /// the finished factors instead of refactoring on the critical path.
-    /// The lookahead refactorization runs on the same assembled values a
-    /// cold refactor would use and the adopted factors pass the cold
-    /// path's growth/probe guard, so results are BIT-IDENTICAL to the
-    /// cold path — unlike warm_start nothing is served stale and no
-    /// refinement is involved. Wins when spare cores exist to overlap
-    /// factor with solve; on a core-starved host the lookahead instead
-    /// timeslices against the solves and doubles the live factor
-    /// working set (~1.1-1.2x over cold at 8k unknowns, single-core).
-    /// OFF by default because it spends a second core per worker —
-    /// results do not depend on thread count or chunk boundaries
-    /// (--warm-pipeline).
-    bool warm_pipeline = false;
-};
-
-/// Live solver counters, aggregated across workers (relaxed atomics).
-/// Attach via sweep_engine_options::stats to observe warm-start behavior
-/// (the size-scaling bench reports these per configuration).
-struct sweep_stats {
-    std::atomic<std::size_t> cold_factors{0};   ///< full numeric refactorizations
-    std::atomic<std::size_t> warm_accepts{0};   ///< warm: stale factors served; pipelined: lookahead factors adopted
-    std::atomic<std::size_t> warm_fallbacks{0}; ///< warm attempts that went cold
-    std::atomic<std::size_t> warm_refinements{0}; ///< batched refinement solves
 };
 
 struct sweep_engine_options {
@@ -134,20 +93,8 @@ struct sweep_engine_options {
     /// worker-local staging to O(rhs_block * n) while still amortizing
     /// each L/U traversal across the batch; 1 disables batching.
     std::size_t rhs_block = 32;
-    /// Ordering / kernel / warm-start tuning (see solver_tuning).
+    /// Ordering / kernel tuning (see solver_tuning).
     solver_tuning tuning;
-    /// Largest frequency ratio between a candidate point and the last
-    /// cold-factored point still eligible for a warm-started solve; the
-    /// stale-factor refinement contracts the error by roughly that
-    /// relative frequency step per iteration, so eligibility is capped
-    /// where convergence to refactor_guard_tol stays cheaper than a
-    /// refactor.
-    real warm_ratio_limit = 1.1;
-    /// Refinement iterations per right-hand side before a warm solve
-    /// gives up and falls back to a cold refactor.
-    std::size_t warm_max_refine = 8;
-    /// Optional live counters (not owned; must outlive the run).
-    sweep_stats* stats = nullptr;
 };
 
 class sweep_engine {

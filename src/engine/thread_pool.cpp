@@ -127,19 +127,6 @@ void thread_pool::parallel_for(std::size_t count, std::size_t max_workers,
         std::rethrow_exception(job.error);
 }
 
-void thread_pool::submit(std::function<void()> fn)
-{
-    if (workers_.empty()) {
-        fn();
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        queue_.emplace_back(std::move(fn));
-    }
-    wake_.notify_one();
-}
-
 bool thread_pool::run_one_queued_task()
 {
     std::function<void()> task;

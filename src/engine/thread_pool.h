@@ -40,16 +40,6 @@ public:
     void parallel_for(std::size_t count, std::size_t max_workers,
                       const std::function<void(std::size_t)>& fn);
 
-    /// Enqueue a single fire-and-forget task for the next free worker and
-    /// return immediately (runs inline when the pool has no workers). The
-    /// caller owns completion tracking: a submitter that must wait should
-    /// make the task claimable and run it inline itself if no worker has
-    /// picked it up by then — the pool guarantees eventual execution but
-    /// no latency (every worker may be blocked in a parallel_for join, in
-    /// which case a waiting joiner will drain it). fn must not throw; it
-    /// runs with no surrounding catch.
-    void submit(std::function<void()> fn);
-
     /// Process-wide pool sized to the hardware concurrency, created on
     /// first use. All analyses share it.
     [[nodiscard]] static thread_pool& shared();

@@ -9,34 +9,12 @@ namespace {
 
     constexpr const char* campaign_schema = "acstab-farm-campaign-v1";
 
-    const char* ordering_name(numeric::column_ordering o)
-    {
-        switch (o) {
-        case numeric::column_ordering::none:
-            return "none";
-        case numeric::column_ordering::count:
-            return "count";
-        case numeric::column_ordering::amd:
-            return "amd";
-        case numeric::column_ordering::amd_approx:
-            return "amd-approx";
-        }
-        return "amd-approx";
-    }
-
-    numeric::column_ordering ordering_from_name(const std::string& name)
-    {
-        if (name == "none")
-            return numeric::column_ordering::none;
-        if (name == "count")
-            return numeric::column_ordering::count;
-        if (name == "amd")
-            return numeric::column_ordering::amd;
-        if (name == "amd-approx")
-            return numeric::column_ordering::amd_approx;
-        throw analysis_error("farm: unknown column ordering '" + name
-                             + "' (amd-approx | amd | count | none)");
-    }
+    /// Sweep keys of plans written before solver tuning left the plan
+    /// format. Their settings never changed answers beyond rounding, but
+    /// a plan that pins one is refused by name rather than silently run
+    /// on the default solver.
+    constexpr const char* retired_sweep_keys[]
+        = {"order", "simd", "warm", "supernodal", "warm_pipeline"};
 
 } // namespace
 
@@ -49,7 +27,6 @@ core::stability_options campaign_spec::stability_options(std::size_t threads) co
     opt.adaptive = adaptive;
     opt.fit_tol = fit_tol;
     opt.anchors_per_decade = anchors_per_decade;
-    opt.tuning = tuning;
     opt.threads = threads;
     return opt;
 }
@@ -64,7 +41,6 @@ analysis::impedance_options campaign_spec::impedance_options(std::size_t threads
     opt.fit_tol = fit_tol;
     opt.anchors_per_decade = anchors_per_decade;
     opt.source_elements = source_elements;
-    opt.tuning = tuning;
     opt.threads = threads;
     return opt;
 }
@@ -76,9 +52,6 @@ core::tran_stability_options campaign_spec::transient_options() const
     opt.step_size = tran_step;
     opt.tstop = tran_tstop;
     opt.dt = tran_dt;
-    opt.tran.tuning.ordering = tuning.ordering;
-    opt.tran.tuning.supernodal = tuning.supernodal;
-    opt.tran.tuning.simd = tuning.simd;
     return opt;
 }
 
@@ -136,19 +109,6 @@ json_value to_json(const campaign_spec& spec)
     sweep.set("adaptive", json_value::boolean(spec.adaptive));
     sweep.set("fit_tol", json_value::number(spec.fit_tol));
     sweep.set("anchors_per_decade", json_value::number(spec.anchors_per_decade));
-    // Solver tuning only appears when non-default (same byte-stability
-    // contract as the analysis member above).
-    const engine::solver_tuning default_tuning;
-    if (spec.tuning.ordering != default_tuning.ordering)
-        sweep.set("order", json_value::str(ordering_name(spec.tuning.ordering)));
-    if (spec.tuning.simd != default_tuning.simd)
-        sweep.set("simd", json_value::boolean(spec.tuning.simd));
-    if (spec.tuning.warm_start != default_tuning.warm_start)
-        sweep.set("warm", json_value::boolean(spec.tuning.warm_start));
-    if (spec.tuning.supernodal != default_tuning.supernodal)
-        sweep.set("supernodal", json_value::boolean(spec.tuning.supernodal));
-    if (spec.tuning.warm_pipeline != default_tuning.warm_pipeline)
-        sweep.set("warm_pipeline", json_value::boolean(spec.tuning.warm_pipeline));
     doc.set("sweep", std::move(sweep));
     return doc;
 }
@@ -200,16 +160,10 @@ campaign_spec campaign_from_json(const json_value& doc)
     spec.adaptive = sweep.at("adaptive").as_bool();
     spec.fit_tol = sweep.at("fit_tol").as_number();
     spec.anchors_per_decade = sweep.at("anchors_per_decade").as_index();
-    if (const json_value* order = sweep.find("order"))
-        spec.tuning.ordering = ordering_from_name(order->as_string());
-    if (const json_value* simd = sweep.find("simd"))
-        spec.tuning.simd = simd->as_bool();
-    if (const json_value* warm = sweep.find("warm"))
-        spec.tuning.warm_start = warm->as_bool();
-    if (const json_value* sn = sweep.find("supernodal"))
-        spec.tuning.supernodal = sn->as_bool();
-    if (const json_value* wp = sweep.find("warm_pipeline"))
-        spec.tuning.warm_pipeline = wp->as_bool();
+    for (const char* key : retired_sweep_keys)
+        if (sweep.find(key) != nullptr)
+            throw analysis_error(std::string("farm: plan sweep key '") + key
+                                 + "' is retired (solver tuning is no longer a plan setting)");
 
     // The recorded point count guards against grid-decoding drift between
     // the planning and executing binaries.

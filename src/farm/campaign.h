@@ -59,11 +59,6 @@ struct campaign_spec {
     bool adaptive = false;
     real fit_tol = 1e-6;
     std::size_t anchors_per_decade = 4;
-    /// Sparse-solver tuning (column ordering / SIMD kernel / warm start),
-    /// pinned by the plan so every shard solves identically. Serialized
-    /// only when it differs from the defaults, so plans that do not touch
-    /// it keep their pre-tuning bytes.
-    engine::solver_tuning tuning;
 
     /// The per-point analysis options this spec pins down. `threads` is
     /// the executor's machine-local point-level parallelism; it does not
@@ -71,9 +66,9 @@ struct campaign_spec {
     [[nodiscard]] core::stability_options stability_options(std::size_t threads) const;
     /// The impedance-campaign equivalent (same sweep/adaptive settings).
     [[nodiscard]] analysis::impedance_options impedance_options(std::size_t threads) const;
-    /// The transient-campaign equivalent (step stimulus + the plan's
-    /// solver tuning routed into the shared transient solver). Points are
-    /// single-threaded inside; the executor parallelizes across points.
+    /// The transient-campaign equivalent (step stimulus on the shared
+    /// transient solver). Points are single-threaded inside; the executor
+    /// parallelizes across points.
     [[nodiscard]] core::tran_stability_options transient_options() const;
 };
 

@@ -2,7 +2,7 @@
 //
 // Nothing shipped in netlists/ is larger than a few dozen unknowns, so
 // the solver's large-circuit behavior (fill-in under different column
-// orderings, SIMD batch kernels, warm-started refactorization) had no
+// orderings, SIMD batch kernels, supernodal refactorization) had no
 // in-tree workload to measure against. These emitters produce valid,
 // deterministic netlist text from tens to tens of thousands of nodes —
 // in the spirit of the FPGA SPICE testbench generators ROADMAP cites —
@@ -11,11 +11,10 @@
 //
 //   ladder  a driven uniform RC ladder: tridiagonal MNA pattern, the
 //           best case for any ordering (near-zero fill), so it isolates
-//           kernel/warm-start effects from fill effects;
+//           kernel effects from fill effects;
 //   rcmesh  a k x k 2-D RC grid (k = round(sqrt(size))): the classic
-//           fill stress. The count heuristic degenerates to the natural
-//           order here (every interior column has equal degree) and
-//           fills like n * k; minimum degree stays near n * log n.
+//           fill stress. The natural order fills like n * k here;
+//           minimum degree stays near n * log n.
 //   loopmesh the rcmesh grid carrying closed-loop cells (tanks and
 //           two-pole loops): a large circuit with near-axis poles for
 //           pole analysis and the impedance criterion.

@@ -1,9 +1,9 @@
-// Fill-reducing column pre-ordering for the sparse LU: minimum external
-// degree on the symmetrized pattern A + A^T (the AMD family).
+// Fill-reducing column pre-ordering for the sparse LU: approximate
+// minimum external degree on the symmetrized pattern A + A^T (AMD).
 //
-// The seed's ascending-nonzero-count heuristic orders columns once by
-// their input degree and never looks at the elimination again; on banded
-// or 2-D-mesh-like MNA matrices (every interior node has the same
+// A static ordering (e.g. ascending nonzero count) orders columns once
+// by their input degree and never looks at the elimination again; on
+// banded or 2-D-mesh-like MNA matrices (every interior node has the same
 // degree) it degenerates to the natural order and fill grows like
 // n * bandwidth. Minimum degree re-ranks the remaining columns after
 // every elimination step using a quotient graph — eliminated pivots
@@ -11,19 +11,13 @@
 // scattered into every neighbor's list — which is the classical route to
 // near-nested-dissection fill on meshes at a tiny analysis cost.
 //
-// Two variants share this header:
-//   * minimum_degree_order — exact external degrees, element absorption,
-//     no supervariables. Simple to reason about, still O(n * reach) per
-//     pivot in its degree updates, which shows up in profiles once
-//     circuits pass ~100k nodes.
-//   * approx_minimum_degree_order — the production AMD shape (Amestoy,
-//     Davis & Duff): supervariables (indistinguishable columns merged by
-//     adjacency hashing and eliminated together, i.e. multiple original
-//     columns per pivot step), the approximate external-degree bound
-//     (each element's contribution is measured once per pivot instead of
-//     once per reached variable), and aggressive element absorption.
-//     Fill is within a few percent of the exact variant on meshes while
-//     the ordering itself scales to hundreds of thousands of nodes.
+// approx_minimum_degree_order is the production AMD shape (Amestoy,
+// Davis & Duff): supervariables (indistinguishable columns merged by
+// adjacency hashing and eliminated together, i.e. multiple original
+// columns per pivot step), the approximate external-degree bound (each
+// element's contribution is measured once per pivot instead of once per
+// reached variable), and aggressive element absorption. The ordering
+// itself scales to hundreds of thousands of nodes.
 //
 // Deterministic by construction: ties in degree break on the smallest
 // original index, so a given pattern always yields the same permutation
@@ -42,146 +36,6 @@
 #include <vector>
 
 namespace acstab::numeric {
-
-/// Minimum-degree permutation of an n x n pattern given in CSC arrays:
-/// returns q with q[k] = the column to eliminate at step k. Only the
-/// pattern is read; values and numerical pivoting are untouched.
-[[nodiscard]] inline std::vector<std::size_t>
-minimum_degree_order(std::size_t n, const std::vector<std::size_t>& col_ptr,
-                     const std::vector<std::size_t>& row_idx)
-{
-    // Symmetrize: undirected adjacency of A + A^T without the diagonal.
-    std::vector<std::vector<std::size_t>> adj(n);
-    for (std::size_t c = 0; c < n; ++c) {
-        for (std::size_t p = col_ptr[c]; p < col_ptr[c + 1]; ++p) {
-            const std::size_t r = row_idx[p];
-            if (r == c)
-                continue;
-            adj[c].push_back(r);
-            adj[r].push_back(c);
-        }
-    }
-    std::vector<std::size_t> stamp(n, 0);
-    std::size_t clock = 0;
-    const auto dedup = [&](std::vector<std::size_t>& list) {
-        ++clock;
-        std::size_t keep = 0;
-        for (const std::size_t v : list) {
-            if (stamp[v] == clock)
-                continue;
-            stamp[v] = clock;
-            list[keep++] = v;
-        }
-        list.resize(keep);
-    };
-    for (auto& list : adj)
-        dedup(list);
-
-    // Quotient graph: per variable, the still-uneliminated direct
-    // neighbors plus the elements (cliques of past pivots) it touches.
-    std::vector<std::vector<std::size_t>> adjel(n);
-    std::vector<std::vector<std::size_t>> elem_vars; // element id -> members
-    std::vector<bool> absorbed;                      // element id -> dead
-    std::vector<bool> eliminated(n, false);
-    std::vector<std::size_t> degree(n, 0);
-
-    // Exact external degree: |adj(v) ∪ (∪ elements of v) \ {v}|.
-    std::vector<std::size_t> reach;
-    const auto external_degree = [&](std::size_t v) {
-        ++clock;
-        stamp[v] = clock;
-        std::size_t deg = 0;
-        for (const std::size_t u : adj[v])
-            if (!eliminated[u] && stamp[u] != clock) {
-                stamp[u] = clock;
-                ++deg;
-            }
-        for (const std::size_t e : adjel[v]) {
-            if (absorbed[e])
-                continue;
-            for (const std::size_t u : elem_vars[e])
-                if (!eliminated[u] && stamp[u] != clock) {
-                    stamp[u] = clock;
-                    ++deg;
-                }
-        }
-        return deg;
-    };
-
-    // Min-heap on (degree, index) with lazy invalidation: stale entries
-    // are skipped when their recorded degree no longer matches.
-    using entry = std::pair<std::size_t, std::size_t>;
-    std::priority_queue<entry, std::vector<entry>, std::greater<entry>> heap;
-    for (std::size_t v = 0; v < n; ++v) {
-        degree[v] = adj[v].size();
-        heap.push({degree[v], v});
-    }
-
-    std::vector<std::size_t> order;
-    order.reserve(n);
-    while (order.size() < n) {
-        const auto [deg, p] = heap.top();
-        heap.pop();
-        if (eliminated[p] || deg != degree[p])
-            continue;
-        eliminated[p] = true;
-        order.push_back(p);
-
-        // Reach set of the pivot = members of the new element.
-        ++clock;
-        stamp[p] = clock;
-        reach.clear();
-        for (const std::size_t u : adj[p])
-            if (!eliminated[u] && stamp[u] != clock) {
-                stamp[u] = clock;
-                reach.push_back(u);
-            }
-        for (const std::size_t e : adjel[p]) {
-            if (absorbed[e])
-                continue;
-            for (const std::size_t u : elem_vars[e])
-                if (!eliminated[u] && stamp[u] != clock) {
-                    stamp[u] = clock;
-                    reach.push_back(u);
-                }
-            absorbed[e] = true; // absorbed into the pivot's element
-        }
-        if (reach.empty())
-            continue;
-
-        const std::size_t eid = elem_vars.size();
-        elem_vars.push_back(reach);
-        absorbed.push_back(false);
-
-        // Every reached variable now sees the new element; its direct
-        // edges into the element (and dead neighbors) are redundant and
-        // pruned so list sizes track the quotient graph, not the fill.
-        // (Two passes: external_degree below reuses the stamp array, so
-        // all pruning happens while the reach stamp is still valid.)
-        ++clock;
-        const std::size_t reach_clock = clock;
-        for (const std::size_t u : reach)
-            stamp[u] = reach_clock;
-        for (const std::size_t v : reach) {
-            std::size_t keep = 0;
-            for (const std::size_t u : adj[v])
-                if (!eliminated[u] && stamp[u] != reach_clock)
-                    adj[v][keep++] = u;
-            adj[v].resize(keep);
-            std::size_t ekeep = 0;
-            for (const std::size_t e : adjel[v])
-                if (!absorbed[e])
-                    adjel[v][ekeep++] = e;
-            adjel[v].resize(ekeep);
-            adjel[v].push_back(eid);
-        }
-        for (const std::size_t v : reach) {
-            degree[v] = external_degree(v);
-            heap.push({degree[v], v});
-        }
-    }
-    return order;
-}
 
 /// Approximate-minimum-degree permutation (AMD): supervariable merging
 /// via adjacency hashing, the Amestoy/Davis/Duff approximate external

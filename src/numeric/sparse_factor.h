@@ -35,43 +35,16 @@
 #include "numeric/sparse_matrix.h"
 #include "numeric/supernode.h"
 
-#ifdef ACSTAB_SN_PROF
-inline unsigned long long acstab_snp[16];
-inline unsigned long long acstab_snp_now()
-{
-    unsigned lo, hi;
-    __asm__ volatile("rdtsc" : "=a"(lo), "=d"(hi));
-    return (static_cast<unsigned long long>(hi) << 32) | lo;
-}
-#define ACSTAB_SNPM(s)                                                                   \
-    do {                                                                                 \
-        const unsigned long long t__ = acstab_snp_now();                                 \
-        acstab_snp[s] += t__ - snp_t;                                                    \
-        snp_t = t__;                                                                     \
-    } while (0)
-#else
-#define ACSTAB_SNPM(s)
-#endif
-
 namespace acstab::numeric {
 
 /// Column pre-ordering applied before the pivot-selecting elimination.
 enum class column_ordering {
-    /// Natural order (ablation/bisection baseline).
+    /// Natural order (the fill baseline of tests and benches).
     none,
-    /// Ascending nonzero-count order — the seed's cheap static heuristic.
-    /// Good on ladders, degenerates to the natural order on meshes where
-    /// every column has the same degree.
-    count,
-    /// Minimum external degree on A + A^T (amd_order.h): re-ranks the
-    /// remaining columns after every elimination with exact degrees.
-    /// Fill matches amd_approx to a few percent; the ordering itself is
-    /// the slower of the two at 100k+ nodes.
-    amd,
     /// Approximate minimum degree (supervariables + the approximate
-    /// external-degree bound + aggressive absorption, amd_order.h): the
-    /// same fill quality at a per-pivot cost that scales to hundreds of
-    /// thousands of nodes. The default.
+    /// external-degree bound + aggressive absorption, amd_order.h) at a
+    /// per-pivot cost that scales to hundreds of thousands of nodes.
+    /// The default.
     amd_approx,
 };
 
@@ -161,21 +134,8 @@ private:
         constexpr std::ptrdiff_t unset = -1;
         q_.resize(n_);
         std::iota(q_.begin(), q_.end(), std::size_t{0});
-        switch (opt.ordering) {
-        case column_ordering::none:
-            break;
-        case column_ordering::count:
-            std::stable_sort(q_.begin(), q_.end(), [&a](std::size_t i, std::size_t j) {
-                return a.col_ptr()[i + 1] - a.col_ptr()[i] < a.col_ptr()[j + 1] - a.col_ptr()[j];
-            });
-            break;
-        case column_ordering::amd:
-            q_ = minimum_degree_order(n_, a.col_ptr(), a.row_idx());
-            break;
-        case column_ordering::amd_approx:
+        if (opt.ordering == column_ordering::amd_approx)
             q_ = approx_minimum_degree_order(n_, a.col_ptr(), a.row_idx());
-            break;
-        }
 
         std::vector<std::ptrdiff_t> pinv(n_, unset);
         lcol_ptr_.assign(n_ + 1, 0);
@@ -665,9 +625,6 @@ private:
         std::vector<T>& w = work_;
         const std::uint32_t* slot_cur = sn_slots_.data();
         std::uint32_t* pos = sn_pos_.data();
-#ifdef ACSTAB_SN_PROF
-        unsigned long long snp_t = acstab_snp_now();
-#endif
         for (std::size_t k = 0; k < n; ++k) {
             const std::size_t t = sn.col_super[k];
             const std::size_t ft = sn.first[t];
@@ -701,7 +658,6 @@ private:
                 else
                     pancol_t[pos[r]] += a.values()[p];
             }
-            ACSTAB_SNPM(0);
 
             const std::size_t ulast = ucol_ptr[k + 1] - 1;
             std::size_t p = ucol_ptr[k];
@@ -740,7 +696,6 @@ private:
                         scatter_sub1_(w.data(), sn.rows.data() + run->rows, lsub, u0, wsub);
                         panel_sub1_(pancol_t, sl, lsub + wsub, u0, msub - wsub);
                     }
-                    ACSTAB_SNPM(1);
                     ++p;
                     continue;
                 }
@@ -783,7 +738,6 @@ private:
                         uval_[p + e] = u[urow[p + e] - j];
                 }
                 p += cnt;
-                ACSTAB_SNPM(2);
                 if (nc == 0)
                     continue;
 
@@ -804,10 +758,8 @@ private:
                     for (; ii + 1 < nc; ii += 2)
                         mul_sub2_(dst, lc + idx[ii] * lds, u[idx[ii]],
                                   lc + idx[ii + 1] * lds, u[idx[ii + 1]], len);
-                    ACSTAB_SNPM(3);
                     continue;
                 }
-                ACSTAB_SNPM(3);
 
                 // Rectangular update of an off-block source's sub-rows.
                 // One or two contributing columns scatter directly
@@ -848,7 +800,6 @@ private:
                         panel_sub_acc_(pancol_t, sl, tmp + wsub, msub - wsub);
                     }
                 }
-                ACSTAB_SNPM(4);
             }
 
             // The pivot accumulated in the panel; rows above it were all
@@ -868,7 +819,6 @@ private:
                 pancol_t[r] = cmul_(pancol_t[r], rpivot);
             for (std::size_t q = lcol_ptr[k]; q < lcol_ptr[k + 1]; ++q)
                 lval_[q] = pancol_t[lpanel_pos_[q]];
-            ACSTAB_SNPM(5);
         }
     }
 

@@ -139,9 +139,8 @@ public:
     }
 
     /// Pointer form of the same SpMV, for callers whose vectors live in
-    /// larger staging blocks (the warm-start refinement measures one
-    /// residual per batched right-hand-side column). x and y must not
-    /// alias and must hold cols()/rows() elements.
+    /// their own scratch buffers. x and y must not alias and must hold
+    /// cols()/rows() elements.
     void multiply_into(const T* x, T* y) const
     {
         std::fill(y, y + rows_, T{});

@@ -35,7 +35,7 @@ struct ac_options {
     bool adaptive = false;
     real fit_tol = 1e-6;
     std::size_t anchors_per_decade = 4;
-    /// Sparse-solver tuning (ordering / SIMD kernel / warm start)
+    /// Sparse-solver tuning (ordering / SIMD kernel / supernodal path)
     /// forwarded to the sweep engine.
     engine::solver_tuning tuning;
 };

@@ -156,7 +156,7 @@ tran_result transient(circuit& c, const tran_options& opt)
     // run; the one-shot path re-factors from scratch per solve.
     std::unique_ptr<tran_solver> shared;
     if (opt.shared_solver && opt.solver == solver_kind::sparse)
-        shared = std::make_unique<tran_solver>(c.unknown_count(), opt.tuning);
+        shared = std::make_unique<tran_solver>(c.unknown_count());
 
     tran_result res;
     res.time.push_back(0.0);

@@ -39,10 +39,6 @@ struct tran_options {
     /// iteration, so waveforms agree to solver rounding (<= 1e-12,
     /// CI-guarded).
     bool shared_solver = true;
-    /// Ordering / supernodal tuning of the shared path. The sweep
-    /// engine's warm-start knobs have no transient analog: a Newton
-    /// solve always refactors, which IS the warm path here.
-    tran_solver_options tuning;
     dc_options dc; ///< options for the initial operating point
 };
 

@@ -83,12 +83,9 @@ void tran_solver::rebuild_symbolic()
 {
     numeric::lu_options lu;
     lu.pivot_tol = opt_.pivot_tol;
-    lu.ordering = opt_.ordering;
     sym_ = std::make_shared<const numeric::symbolic_lu<real>>(csc_, lu);
     num_ = std::make_unique<numeric::numeric_lu<real>>(sym_);
-    num_->set_batch_kernel(opt_.simd ? numeric::batch_kernel::simd
-                                     : numeric::batch_kernel::scalar);
-    num_->set_supernodal(opt_.supernodal);
+    num_->set_supernodal(true);
     num_->refactor(csc_);
     ++stats_.symbolic_builds;
 }

@@ -38,15 +38,10 @@
 
 namespace acstab::spice {
 
+/// Guard thresholds of the shared path. The symbolic analysis always
+/// runs the default approximate-minimum-degree ordering and the numeric
+/// refactorization the blocked/supernodal path.
 struct tran_solver_options {
-    /// Fill-reducing column pre-ordering of the shared symbolic LU.
-    numeric::column_ordering ordering = numeric::column_ordering::amd_approx;
-    /// Blocked/supernodal refactorization (numeric_lu::set_supernodal).
-    bool supernodal = true;
-    /// Batched back-solve kernel selection. Transient right-hand sides are
-    /// real and solved one at a time, where numeric_lu always runs the
-    /// scalar kernel; accepted for CLI symmetry with the sweep engine.
-    bool simd = true;
     /// Threshold-pivoting tolerance of the symbolic analysis.
     double pivot_tol = 0.1;
     /// Element growth above which the residual probe runs (PR 2 witness).

@@ -57,30 +57,6 @@ namespace {
 using namespace acstab;
 using namespace acstab::tool;
 
-/// --order/--no-simd/--warm/--no-supernodal/--warm-pipeline -> the
-/// sparse-solver tuning every frequency-domain command threads down to
-/// the sweep engine.
-[[nodiscard]] engine::solver_tuning tuning_from_cli(const cli_options& opt)
-{
-    engine::solver_tuning tuning;
-    if (opt.order == "amd-approx" || opt.order.empty())
-        tuning.ordering = numeric::column_ordering::amd_approx;
-    else if (opt.order == "amd")
-        tuning.ordering = numeric::column_ordering::amd;
-    else if (opt.order == "count")
-        tuning.ordering = numeric::column_ordering::count;
-    else if (opt.order == "none")
-        tuning.ordering = numeric::column_ordering::none;
-    else
-        throw analysis_error("--order must be amd-approx, amd, count or none, got '"
-                             + opt.order + "'");
-    tuning.simd = !opt.no_simd;
-    tuning.warm_start = opt.warm;
-    tuning.supernodal = !opt.no_supernodal;
-    tuning.warm_pipeline = opt.warm_pipeline;
-    return tuning;
-}
-
 /// --fstart/--fstop -> the band the sparse pole search covers.
 [[nodiscard]] analysis::pole_zero_options pole_options(const cli_options& opt)
 {
@@ -125,7 +101,6 @@ int cmd_ac(spice::circuit& c, const cli_options& opt)
     aopt.adaptive = opt.adaptive;
     aopt.fit_tol = opt.fit_tol;
     aopt.anchors_per_decade = opt.anchors_per_decade;
-    aopt.tuning = tuning_from_cli(opt);
     const spice::ac_result res = spice::ac_sweep(c, grid, op.solution, aopt);
     const std::vector<real>& freqs = res.freq_hz;
     const std::vector<cplx> h = spice::node_response(c, res, opt.node);
@@ -155,11 +130,6 @@ int cmd_tran(spice::circuit& c, const cli_options& opt)
     spice::tran_options topt;
     topt.tstop = opt.tstop;
     topt.dt = opt.dt;
-    topt.shared_solver = !opt.oneshot;
-    const engine::solver_tuning tuning = tuning_from_cli(opt);
-    topt.tuning.ordering = tuning.ordering;
-    topt.tuning.supernodal = tuning.supernodal;
-    topt.tuning.simd = tuning.simd;
     const spice::tran_result res = spice::transient(c, topt);
     const std::vector<real> v = spice::node_waveform(c, res, opt.node);
     if (res.diverged)
@@ -197,7 +167,6 @@ int cmd_stability(spice::circuit& c, const cli_options& opt)
     sopt.adaptive = opt.adaptive;
     sopt.fit_tol = opt.fit_tol;
     sopt.anchors_per_decade = opt.anchors_per_decade;
-    sopt.tuning = tuning_from_cli(opt);
     core::stability_analyzer an(c, sopt);
 
     if (!opt.node.empty()) {
@@ -232,7 +201,6 @@ int cmd_impedance(spice::circuit& c, const cli_options& opt)
     iopt.adaptive = opt.adaptive;
     iopt.fit_tol = opt.fit_tol;
     iopt.anchors_per_decade = opt.anchors_per_decade;
-    iopt.tuning = tuning_from_cli(opt);
     if (!opt.source.empty())
         iopt.source_elements = parse_name_list(opt.source);
     const analysis::impedance_result res = analysis::analyze_impedance(c, opt.node, iopt);
@@ -263,7 +231,6 @@ int cmd_impedance(spice::circuit& c, const cli_options& opt)
     sopt.adaptive = opt.adaptive;
     sopt.fit_tol = opt.fit_tol;
     sopt.anchors_per_decade = opt.anchors_per_decade;
-    sopt.tuning = tuning_from_cli(opt);
     core::stability_analyzer an(c, sopt);
     std::fputs(core::format_node_summary(an.analyze_node(opt.node)).c_str(), stdout);
 
@@ -319,7 +286,6 @@ int cmd_loopgain(spice::circuit& c, const cli_options& opt)
     lopt.adaptive = opt.adaptive;
     lopt.fit_tol = opt.fit_tol;
     lopt.anchors_per_decade = opt.anchors_per_decade;
-    lopt.tuning = tuning_from_cli(opt);
     const analysis::loop_gain_result lg
         = analysis::measure_loop_gain(c, opt.probe, freqs, lopt);
     if (opt.csv) {
@@ -489,7 +455,6 @@ int cmd_farm_plan(const std::string& netlist_path, const cli_options& opt)
     spec.adaptive = opt.adaptive;
     spec.fit_tol = opt.fit_tol;
     spec.anchors_per_decade = opt.anchors_per_decade;
-    spec.tuning = tuning_from_cli(opt);
     if (opt.analysis == "impedance")
         spec.analysis = farm::campaign_analysis::impedance;
     else if (opt.analysis == "transient")
@@ -837,8 +802,7 @@ void print_usage()
     std::puts("  op          DC operating point");
     std::puts("  ac          AC sweep          (--node N)");
     std::puts("  tran        transient         (--node N --tstop T [--dt D]");
-    std::puts("              [--solver-stats] [--oneshot: per-iteration refactorization,");
-    std::puts("              the pre-shared-solver baseline])");
+    std::puts("              [--solver-stats])");
     std::puts("  stability   stability plots   (--node N | --all)");
     std::puts("  impedance   source/load impedance-ratio (Nyquist-like) criterion at a");
     std::puts("              partition node    (--node N [--source e1,e2,..]); reports");
@@ -888,10 +852,6 @@ void print_usage()
     std::puts("  --tstop S --dt S --threads N (0 = all cores) --csv --annotate");
     std::puts("  --adaptive (rational-fit adaptive grid: factor 5-10x fewer points)");
     std::puts("  --fit-tol TOL --anchors-per-decade N (adaptive sweep tuning)");
-    std::puts("  --order amd-approx|amd|count|none (column pre-ordering; default amd-approx)");
-    std::puts("  --no-simd (scalar batched solves) --warm (warm-started refactorization)");
-    std::puts("  --no-supernodal (column-at-a-time numeric path; supernodal is default)");
-    std::puts("  --warm-pipeline (overlap next-point refactorization with batched solves)");
     std::puts("  --temps/--corner/--param (campaign grid) --shard k/N --out FILE --table");
 }
 

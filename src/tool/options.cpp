@@ -1,6 +1,7 @@
 #include "tool/options.h"
 
 #include <cmath>
+#include <limits>
 #include <string_view>
 
 #include "common/error.h"
@@ -8,6 +9,25 @@
 #include "spice/units.h"
 
 namespace acstab::tool {
+
+namespace {
+
+    /// Value of a count flag (--ppd, --threads, --workers, ...): a whole
+    /// number that fits in size_t. Checked before the conversion, since
+    /// casting a negative, fractional or oversized double to size_t
+    /// silently changes the count (or is undefined behaviour). Zero
+    /// passes: --threads 0 and --size 0 mean "the default".
+    [[nodiscard]] std::size_t parse_count(std::string_view key, const std::string& text)
+    {
+        const real v = spice::parse_spice_number(text);
+        constexpr real limit = static_cast<real>(std::numeric_limits<std::size_t>::max());
+        if (!(v >= 0.0) || v != std::floor(v) || !(v < limit))
+            throw analysis_error(std::string(key) + " needs a whole number >= 0, got '" + text
+                                 + "'");
+        return static_cast<std::size_t>(v);
+    }
+
+} // namespace
 
 cli_options parse_cli_options(int argc, char** argv, bool allow_positionals)
 {
@@ -18,6 +38,7 @@ cli_options parse_cli_options(int argc, char** argv, bool allow_positionals)
             throw analysis_error(std::string(key) + " needs a value");
         return argv[++i];
     };
+    const auto need_count = [&](std::string_view key) { return parse_count(key, need_value(key)); };
     for (; i < argc; ++i) {
         const std::string_view key = argv[i];
         if (key == "--node")
@@ -31,38 +52,24 @@ cli_options parse_cli_options(int argc, char** argv, bool allow_positionals)
             opt.fstop = spice::parse_spice_number(need_value(key));
             opt.fstop_set = true;
         } else if (key == "--ppd") {
-            opt.ppd = static_cast<std::size_t>(spice::parse_spice_number(need_value(key)));
+            opt.ppd = need_count(key);
             opt.ppd_set = true;
-        }
-        else if (key == "--tstop")
+        } else if (key == "--tstop")
             opt.tstop = spice::parse_spice_number(need_value(key));
         else if (key == "--dt")
             opt.dt = spice::parse_spice_number(need_value(key));
         else if (key == "--threads")
-            opt.threads = static_cast<std::size_t>(spice::parse_spice_number(need_value(key)));
+            opt.threads = need_count(key);
         else if (key == "--adaptive")
             opt.adaptive = true;
         else if (key == "--fit-tol")
             opt.fit_tol = spice::parse_spice_number(need_value(key));
         else if (key == "--anchors-per-decade")
-            opt.anchors_per_decade
-                = static_cast<std::size_t>(spice::parse_spice_number(need_value(key)));
-        else if (key == "--order")
-            opt.order = need_value(key);
-        else if (key == "--no-simd")
-            opt.no_simd = true;
-        else if (key == "--warm")
-            opt.warm = true;
-        else if (key == "--no-supernodal")
-            opt.no_supernodal = true;
-        else if (key == "--warm-pipeline")
-            opt.warm_pipeline = true;
+            opt.anchors_per_decade = need_count(key);
         else if (key == "--size")
-            opt.size = static_cast<std::size_t>(spice::parse_spice_number(need_value(key)));
+            opt.size = need_count(key);
         else if (key == "--solver-stats")
             opt.solver_stats = true;
-        else if (key == "--oneshot")
-            opt.oneshot = true;
         else if (key == "--step")
             opt.step = spice::parse_spice_number(need_value(key));
         else if (key == "--csv")
@@ -88,7 +95,7 @@ cli_options parse_cli_options(int argc, char** argv, bool allow_positionals)
         else if (key == "--table")
             opt.table = true;
         else if (key == "--workers")
-            opt.workers = static_cast<std::size_t>(spice::parse_spice_number(need_value(key)));
+            opt.workers = need_count(key);
         else if (key == "--dir")
             opt.dir = need_value(key);
         else if (key == "--resume")
@@ -96,7 +103,7 @@ cli_options parse_cli_options(int argc, char** argv, bool allow_positionals)
         else if (key == "--point-timeout")
             opt.point_timeout = spice::parse_spice_number(need_value(key));
         else if (key == "--retries")
-            opt.retries = static_cast<std::size_t>(spice::parse_spice_number(need_value(key)));
+            opt.retries = need_count(key);
         else if (key == "--quiet")
             opt.quiet = true;
         else if (key == "--shard-file")
@@ -106,19 +113,15 @@ cli_options parse_cli_options(int argc, char** argv, bool allow_positionals)
         else if (key == "--stdio")
             opt.stdio = true;
         else if (key == "--max-concurrent")
-            opt.max_concurrent
-                = static_cast<std::size_t>(spice::parse_spice_number(need_value(key)));
+            opt.max_concurrent = need_count(key);
         else if (key == "--queue-depth")
-            opt.queue_depth
-                = static_cast<std::size_t>(spice::parse_spice_number(need_value(key)));
+            opt.queue_depth = need_count(key);
         else if (key == "--max-frame")
-            opt.max_frame
-                = static_cast<std::size_t>(spice::parse_spice_number(need_value(key)));
+            opt.max_frame = need_count(key);
         else if (key == "--drain-grace")
             opt.drain_grace = spice::parse_spice_number(need_value(key));
         else if (key == "--worker-id")
-            opt.worker_id
-                = static_cast<std::size_t>(spice::parse_spice_number(need_value(key)));
+            opt.worker_id = need_count(key);
         else if (allow_positionals && !key.empty() && key.substr(0, 2) != "--")
             opt.positionals.emplace_back(key);
         else

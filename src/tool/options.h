@@ -32,27 +32,11 @@ struct cli_options {
     bool csv = false;
     bool annotate = false;
     bool all_nodes = false;
-    /// Sparse-solver tuning: --order amd-approx|amd|count|none column
-    /// pre-ordering (empty = the default, amd-approx), --no-simd scalar
-    /// batch kernel, --warm frequency-coherence warm-started
-    /// refactorization, --no-supernodal column-at-a-time numeric path
-    /// (ablation; supernodal is the default), --warm-pipeline pipelined
-    /// warm start (refactor the next frequency point concurrently with
-    /// this point's batched solves; results bit-identical to cold).
-    std::string order;
-    bool no_simd = false;
-    bool warm = false;
-    bool no_supernodal = false;
-    bool warm_pipeline = false;
     /// Target circuit node count for `acstab gen` (--size).
     std::size_t size = 0;
     /// `acstab tran`: print the shared transient solver's counters
     /// (solves, symbolic builds, pattern rebuilds, guard activity).
     bool solver_stats = false;
-    /// `acstab tran`: run the seed one-shot solve path (fresh
-    /// factorization per Newton iteration) instead of the shared
-    /// symbolic path — the ablation/equivalence baseline.
-    bool oneshot = false;
     /// Step amplitude for transient campaigns (--step; volts on a pulsed
     /// source, amps for nodal injection).
     real step = 0.01;
@@ -99,7 +83,8 @@ struct cli_options {
 };
 
 /// Parse "--key value" style options; throws analysis_error on unknown
-/// keys or malformed values. With allow_positionals (the farm commands:
+/// keys or malformed values (count flags such as --ppd or --workers take
+/// whole numbers >= 0 only; the error names the flag). With allow_positionals (the farm commands:
 /// merge takes shard files), bare non-"--" tokens are collected into
 /// `positionals`; otherwise they are errors, as before.
 [[nodiscard]] cli_options parse_cli_options(int argc, char** argv,

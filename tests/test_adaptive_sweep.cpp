@@ -62,7 +62,7 @@ TEST(aaa_fit, recovers_second_order_prototype_from_12_samples)
     }
 }
 
-TEST(aaa_fit, warm_start_seeds_become_support_and_fit_stays_accurate)
+TEST(aaa_fit, seed_support_is_adopted_and_refit_stays_accurate)
 {
     // Simulate the adaptive driver's per-round refit: fit once, then
     // refit the same data warm-started from the first fit's support set.

@@ -1,11 +1,9 @@
-// Solver-mode equivalence: the ordering / SIMD-kernel / supernodal /
-// warm-start axes of engine::solver_tuning are performance knobs, never
-// answer knobs. Every shipped netlist must produce the same verdicts
-// (margins within tolerance, farm reports byte-identical) under
-// amd-approx/amd/count/none ordering, SIMD/scalar kernels and
-// blocked/column numeric paths at 1 and 4 threads; classic warm-started
-// sweeps must honor the cold path's backward-error contract and
-// pipelined (lookahead) sweeps must be bit-identical to cold.
+// Solver-mode equivalence: the ordering / SIMD-kernel / supernodal axes
+// of engine::solver_tuning are performance knobs, never answer knobs.
+// Every shipped netlist must produce the same verdicts (margins within
+// tolerance, formatted summaries byte-identical) under amd-approx/none
+// ordering, SIMD/scalar kernels and blocked/column numeric paths at 1
+// and 4 threads. Plans no longer carry solver tuning at all.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,11 +13,13 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "core/analyzer.h"
+#include "core/param_grid.h"
+#include "core/report.h"
 #include "engine/linearized_snapshot.h"
 #include "engine/sweep_engine.h"
 #include "farm/campaign.h"
-#include "farm/executor.h"
 #include "gen/netlist_gen.h"
 #include "numeric/interpolation.h"
 #include "spice/dc_analysis.h"
@@ -82,38 +82,29 @@ void expect_equivalent(const core::stability_report& ref, const core::stability_
     ASSERT_EQ(got.loops.size(), ref.loops.size()) << label;
 }
 
-/// AMD vs count vs none orderings and SIMD vs scalar kernels on every
-/// shipped netlist, each at 1 and 4 threads, against the default-tuning
-/// serial reference: identical verdicts, margins within tolerance.
+/// Every surviving tuning — amd-approx/none ordering x SIMD/scalar kernel
+/// x supernodal/column path — on every shipped netlist, each at 1 and 4
+/// threads, against the default-tuning serial reference: identical
+/// verdicts, margins within tolerance.
 TEST(solver_modes, ordering_and_kernel_equivalence_on_shipped_netlists)
 {
-    struct mode {
-        const char* name;
-        numeric::column_ordering ordering;
-        bool simd;
-        bool supernodal;
-    };
-    const mode modes[] = {
-        {"amd", numeric::column_ordering::amd, true, true},
-        {"count", numeric::column_ordering::count, true, true},
-        {"none", numeric::column_ordering::none, true, true},
-        {"amd-scalar", numeric::column_ordering::amd, false, true},
-        {"amd-approx-column", numeric::column_ordering::amd_approx, true, false},
-        {"amd-column-scalar", numeric::column_ordering::amd, false, false},
-    };
-
     for (const char* name : shipped) {
         const core::stability_report ref = report_for(name, {}, 1);
-        for (const mode& m : modes)
-            for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-                engine::solver_tuning tuning;
-                tuning.ordering = m.ordering;
-                tuning.simd = m.simd;
-                tuning.supernodal = m.supernodal;
-                expect_equivalent(ref, report_for(name, tuning, threads),
-                                  std::string(name) + " " + m.name + " threads="
-                                      + std::to_string(threads));
-            }
+        for (const numeric::column_ordering ordering :
+             {numeric::column_ordering::amd_approx, numeric::column_ordering::none})
+            for (const bool simd : {false, true})
+                for (const bool supernodal : {false, true})
+                    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+                        engine::solver_tuning tuning;
+                        tuning.ordering = ordering;
+                        tuning.simd = simd;
+                        tuning.supernodal = supernodal;
+                        const std::string label = std::string(name) + " ordering="
+                            + std::to_string(static_cast<int>(ordering)) + " simd="
+                            + std::to_string(simd) + " supernodal=" + std::to_string(supernodal)
+                            + " threads=" + std::to_string(threads);
+                        expect_equivalent(ref, report_for(name, tuning, threads), label);
+                    }
     }
 }
 
@@ -126,13 +117,11 @@ struct sweep_capture {
 sweep_capture run_engine(const engine::linearized_snapshot& snap,
                          const std::vector<real>& freqs,
                          const std::vector<engine::sweep_engine::injection>& injections,
-                         engine::solver_tuning tuning, std::size_t threads,
-                         engine::sweep_stats* stats = nullptr)
+                         engine::solver_tuning tuning, std::size_t threads)
 {
     engine::sweep_engine_options opt;
     opt.threads = threads;
     opt.tuning = tuning;
-    opt.stats = stats;
     const engine::sweep_engine eng(opt);
     sweep_capture cap;
     cap.sol.assign(freqs.size(),
@@ -213,167 +202,41 @@ TEST(solver_modes, supernodal_and_column_paths_agree_on_generated_mesh)
     }
 }
 
-/// Warm-started sweeps on a frequency grid inside the eligibility window
-/// must (a) actually adopt stale factors, (b) agree with the cold sweep,
-/// and (c) leave every solution inside the cold path's backward-error
-/// contract: max|b - Yx| <= refactor_guard_tol * (max|Y| max|x| + max|b|).
-TEST(solver_modes, warm_start_agrees_with_cold_and_honors_backward_error_contract)
+// ---- report byte identity ---------------------------------------------------
+
+/// The formatted single-node summaries of the tank at the TEMP points of
+/// a small campaign, under one solver tuning and sweep thread count.
+std::string tank_summaries(engine::solver_tuning tuning, std::size_t threads)
 {
-    spice::parsed_netlist net;
-    const engine::linearized_snapshot snap = mesh_snapshot(net, 100);
-    // 40 points/decade: step ratio 1.059 < warm_ratio_limit 1.1, so the
-    // serial sweep alternates cold anchors and warm-started points.
-    const std::vector<real> freqs = numeric::log_grid(1e5, 1e6, 40);
-    std::vector<engine::sweep_engine::injection> injections;
-    for (std::size_t k = 0; k < snap.size(); k += 13)
-        injections.push_back({k, cplx{1.0, 0.0}});
-
-    engine::solver_tuning cold;
-    engine::solver_tuning warm;
-    warm.warm_start = true;
-    engine::sweep_stats stats;
-    const sweep_capture cref = run_engine(snap, freqs, injections, cold, 1);
-    const sweep_capture wres = run_engine(snap, freqs, injections, warm, 1, &stats);
-
-    EXPECT_GT(stats.warm_accepts.load(), 0u);
-    EXPECT_GT(stats.warm_refinements.load(), 0u);
-    EXPECT_EQ(stats.cold_factors.load() + stats.warm_accepts.load(), freqs.size());
-    // Both paths satisfy a 1e-10 backward-error contract; the forward
-    // difference additionally carries the system's condition number.
-    EXPECT_LE(max_rel_diff(cref, wres), 1e-6);
-
-    const real guard_tol = engine::sweep_engine_options{}.refactor_guard_tol;
-    numeric::csc_matrix<cplx> work = snap.make_workspace();
-    std::vector<cplx> y(snap.size());
-    for (std::size_t fi = 0; fi < freqs.size(); ++fi) {
-        snap.assemble(to_omega(freqs[fi]), work);
-        real ymax = 0.0;
-        for (const cplx& v : work.values())
-            ymax = std::max(ymax, std::abs(v));
-        for (std::size_t ri = 0; ri < injections.size(); ++ri) {
-            const std::vector<cplx>& x = wres.sol[fi][ri];
-            work.multiply_into(x.data(), y.data());
-            real residual = 0.0;
-            real xmax = 0.0;
-            for (std::size_t i = 0; i < y.size(); ++i) {
-                const cplx b = i == injections[ri].index ? cplx{1.0, 0.0} : cplx{};
-                residual = std::max(residual, std::abs(b - y[i]));
-                xmax = std::max(xmax, std::abs(x[i]));
-            }
-            EXPECT_LE(residual, guard_tol * (ymax * xmax + 1.0))
-                << "f=" << freqs[fi] << " rhs=" << ri;
-        }
+    core::param_grid grid;
+    grid.temps = {0.0, 50.0};
+    const core::circuit_template tmpl{netlist("rlc_tank.sp"), ""};
+    std::string out;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        spice::parsed_netlist net = tmpl.build(grid.point(i));
+        core::stability_options opt;
+        opt.sweep.fstart = 1e4;
+        opt.sweep.fstop = 1e8;
+        opt.sweep.points_per_decade = 40;
+        opt.threads = threads;
+        opt.tuning = tuning;
+        core::stability_analyzer an(net.ckt, opt);
+        out += core::format_node_summary(an.analyze_node("tank"));
     }
-}
-
-/// The pipelined warm start refactors the NEXT grid point concurrently
-/// with this point's batched solves and adopts the finished factors when
-/// it gets there. The adopted factors are computed from identically
-/// assembled values and pass the cold guard, so — unlike the stale-
-/// serving warm_start — the sweep must be BIT-IDENTICAL to cold, every
-/// interior point must adopt, and no refinement is ever involved.
-TEST(solver_modes, pipelined_warm_start_is_bit_identical_to_cold)
-{
-    spice::parsed_netlist net;
-    const engine::linearized_snapshot snap = mesh_snapshot(net, 100);
-    const std::vector<real> freqs = numeric::log_grid(1e5, 1e6, 40);
-    std::vector<engine::sweep_engine::injection> injections;
-    for (std::size_t k = 0; k < snap.size(); k += 13)
-        injections.push_back({k, cplx{1.0, 0.0}});
-
-    engine::solver_tuning cold;
-    engine::solver_tuning piped;
-    piped.warm_pipeline = true;
-    engine::sweep_stats stats;
-    const sweep_capture cref = run_engine(snap, freqs, injections, cold, 1);
-    const sweep_capture pres = run_engine(snap, freqs, injections, piped, 1, &stats);
-
-    // Serial sweep, one chunk: every point past the first adopts its
-    // lookahead factors; every point still pays exactly one
-    // refactorization (just off the critical path when a worker is free).
-    EXPECT_EQ(stats.warm_accepts.load(), freqs.size() - 1);
-    EXPECT_EQ(stats.warm_refinements.load(), 0u);
-    EXPECT_EQ(stats.cold_factors.load(), freqs.size());
-    EXPECT_EQ(max_rel_diff(cref, pres), 0.0);
-}
-
-/// Pipelined warm sweeps must also be safe (and still bit-identical)
-/// when the shared pool actually has workers, several chunks pipeline at
-/// once, and the lookahead tasks genuinely race the foreground solves.
-TEST(solver_modes, pipelined_warm_start_is_bit_identical_at_four_threads)
-{
-    spice::parsed_netlist net;
-    const engine::linearized_snapshot snap = mesh_snapshot(net, 100);
-    const std::vector<real> freqs = numeric::log_grid(1e5, 1e6, 40);
-    std::vector<engine::sweep_engine::injection> injections;
-    for (std::size_t k = 0; k < snap.size(); k += 17)
-        injections.push_back({k, cplx{1.0, 0.0}});
-
-    engine::solver_tuning cold;
-    engine::solver_tuning piped;
-    piped.warm_pipeline = true;
-    const sweep_capture cref = run_engine(snap, freqs, injections, cold, 1);
-    const sweep_capture pres = run_engine(snap, freqs, injections, piped, 4);
-    EXPECT_EQ(max_rel_diff(cref, pres), 0.0);
-}
-
-/// The adaptive analyzer path forwards the tuning too: warm-started
-/// adaptive stability analysis reproduces the cold adaptive margins.
-TEST(solver_modes, adaptive_analysis_warm_start_matches_cold)
-{
-    spice::parsed_netlist net = spice::parse_netlist_file(netlist("rlc_tank.sp"));
-    core::stability_options opt;
-    opt.sweep.fstart = 1e4;
-    opt.sweep.fstop = 1e8;
-    opt.adaptive = true;
-    core::stability_analyzer cold_an(net.ckt, opt);
-    const core::node_stability cold = cold_an.analyze_node("tank");
-
-    opt.tuning.warm_start = true;
-    core::stability_analyzer warm_an(net.ckt, opt);
-    const core::node_stability warm = warm_an.analyze_node("tank");
-
-    ASSERT_TRUE(cold.has_peak);
-    ASSERT_TRUE(warm.has_peak);
-    EXPECT_NEAR(warm.zeta, cold.zeta, 1e-3 * cold.zeta);
-    EXPECT_NEAR(warm.dominant.freq_hz, cold.dominant.freq_hz, 1e-3 * cold.dominant.freq_hz);
-    EXPECT_NEAR(warm.phase_margin_est_deg, cold.phase_margin_est_deg, 0.1);
-}
-
-// ---- farm-report byte identity ---------------------------------------------
-
-farm::campaign_spec tank_campaign(engine::solver_tuning tuning)
-{
-    farm::campaign_spec spec;
-    spec.netlist = netlist("rlc_tank.sp");
-    spec.node = "tank";
-    spec.fstart = 1e4;
-    spec.fstop = 1e8;
-    spec.points_per_decade = 40;
-    spec.grid.temps = {0.0, 50.0};
-    spec.tuning = tuning;
-    return spec;
-}
-
-std::string farm_table(engine::solver_tuning tuning, std::size_t threads)
-{
-    const farm::campaign_spec spec = tank_campaign(tuning);
-    const std::vector<farm::point_record> records = farm::run_shard(spec, 0, 1, threads);
-    return farm::format_report(
-        farm::merge_shards(spec, {farm::shard_to_json(spec, 0, 1, records)}));
+    return out;
 }
 
 /// Solver internals must not leak into reported results: the formatted
-/// farm report of a small campaign is byte-identical across orderings,
-/// kernels and point-level thread counts.
-TEST(solver_modes, farm_reports_are_byte_identical_across_solver_modes)
+/// summaries are byte-identical across orderings, kernels, numeric paths
+/// and sweep thread counts.
+TEST(solver_modes, node_summaries_are_byte_identical_across_solver_modes)
 {
-    const std::string ref = farm_table({}, 1);
-    EXPECT_NE(ref.find("corner-farm campaign report, node 'tank'"), std::string::npos);
+    const std::string ref = tank_summaries({}, 1);
+    EXPECT_NE(ref.find("Node tank:"), std::string::npos);
+    EXPECT_NE(ref.find("damping ratio"), std::string::npos);
 
     for (const numeric::column_ordering ordering :
-         {numeric::column_ordering::none, numeric::column_ordering::count,
-          numeric::column_ordering::amd, numeric::column_ordering::amd_approx})
+         {numeric::column_ordering::none, numeric::column_ordering::amd_approx})
         for (const bool simd : {false, true})
             for (const bool supernodal : {false, true})
                 for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -381,50 +244,42 @@ TEST(solver_modes, farm_reports_are_byte_identical_across_solver_modes)
                     tuning.ordering = ordering;
                     tuning.simd = simd;
                     tuning.supernodal = supernodal;
-                    EXPECT_EQ(farm_table(tuning, threads), ref)
+                    EXPECT_EQ(tank_summaries(tuning, threads), ref)
                         << "ordering=" << static_cast<int>(ordering) << " simd=" << simd
                         << " supernodal=" << supernodal << " threads=" << threads;
                 }
 }
 
-/// The plan file pins the tuning: non-default knobs round-trip through
-/// JSON, and a default-tuning plan keeps its pre-tuning bytes (no new
-/// fields appear).
-TEST(solver_modes, campaign_tuning_round_trips_and_default_plan_bytes_are_stable)
+// ---- plan format ------------------------------------------------------------
+
+/// Solver tuning is not a plan setting: a default plan carries none of
+/// the retired sweep keys, and a plan whose sweep object still carries
+/// one is refused with an error that names the key.
+TEST(solver_modes, plans_with_retired_solver_keys_are_rejected)
 {
-    const farm::campaign_spec plain = tank_campaign({});
-    const std::string plain_bytes = farm::to_json(plain).dump();
-    EXPECT_EQ(plain_bytes.find("\"order\""), std::string::npos);
-    EXPECT_EQ(plain_bytes.find("\"simd\""), std::string::npos);
-    EXPECT_EQ(plain_bytes.find("\"warm\""), std::string::npos);
-    EXPECT_EQ(plain_bytes.find("\"supernodal\""), std::string::npos);
-    EXPECT_EQ(plain_bytes.find("\"warm_pipeline\""), std::string::npos);
+    farm::campaign_spec spec;
+    spec.netlist = netlist("rlc_tank.sp");
+    spec.node = "tank";
+    spec.grid.temps = {0.0, 50.0};
+    const std::string bytes = farm::to_json(spec).dump();
+    EXPECT_NO_THROW((void)farm::campaign_from_json(farm::json_value::parse(bytes)));
 
-    engine::solver_tuning tuning;
-    tuning.ordering = numeric::column_ordering::count;
-    tuning.simd = false;
-    tuning.warm_start = true;
-    tuning.supernodal = false;
-    tuning.warm_pipeline = true;
-    const farm::campaign_spec spec = tank_campaign(tuning);
-    const farm::campaign_spec back
-        = farm::campaign_from_json(farm::json_value::parse(farm::to_json(spec).dump()));
-    EXPECT_EQ(back.tuning.ordering, numeric::column_ordering::count);
-    EXPECT_FALSE(back.tuning.simd);
-    EXPECT_TRUE(back.tuning.warm_start);
-    EXPECT_FALSE(back.tuning.supernodal);
-    EXPECT_TRUE(back.tuning.warm_pipeline);
-    EXPECT_EQ(farm::to_json(back).dump(), farm::to_json(spec).dump());
-
-    // The non-default ordering name round-trips for the new variant too.
-    engine::solver_tuning exact;
-    exact.ordering = numeric::column_ordering::amd;
-    const farm::campaign_spec espec = tank_campaign(exact);
-    const std::string ebytes = farm::to_json(espec).dump();
-    EXPECT_NE(ebytes.find("\"order\":\"amd\""), std::string::npos);
-    const farm::campaign_spec eback
-        = farm::campaign_from_json(farm::json_value::parse(ebytes));
-    EXPECT_EQ(eback.tuning.ordering, numeric::column_ordering::amd);
+    const std::string sweep_open = "\"sweep\":{";
+    const std::size_t at = bytes.find(sweep_open);
+    ASSERT_NE(at, std::string::npos);
+    for (const std::string key : {"order", "simd", "warm", "supernodal", "warm_pipeline"}) {
+        EXPECT_EQ(bytes.find("\"" + key + "\""), std::string::npos) << key;
+        std::string retired = bytes;
+        retired.insert(at + sweep_open.size(),
+                       "\"" + key + "\":" + (key == "order" ? "\"none\"" : "false") + ",");
+        try {
+            (void)farm::campaign_from_json(farm::json_value::parse(retired));
+            ADD_FAILURE() << "plan with sweep key '" << key << "' was accepted";
+        } catch (const analysis_error& e) {
+            EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 } // namespace

@@ -262,7 +262,7 @@ TEST(supernode_numeric, blocked_matches_column_on_opamp)
 {
     spice::circuit c;
     circuits::build_opamp_buffer(c);
-    expect_blocked_matches_column(c, numeric::column_ordering::amd, 5);
+    expect_blocked_matches_column(c, numeric::column_ordering::amd_approx, 5);
 }
 
 TEST(supernode_numeric, blocked_matches_column_under_natural_order)

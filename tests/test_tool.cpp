@@ -65,6 +65,34 @@ TEST(cli_options, errors)
     const cli_options opt = parse_cli_options(2, stray.data(), /*allow_positionals=*/true);
     ASSERT_EQ(opt.positionals.size(), 2u);
     EXPECT_EQ(opt.positionals[0], "-node");
+
+    // Count flags take whole numbers >= 0: a negative, fractional or
+    // out-of-range value is refused with an error naming the flag rather
+    // than cast to size_t.
+    for (const char* flag : {"--ppd", "--threads", "--anchors-per-decade", "--size", "--workers",
+                             "--retries", "--max-concurrent", "--queue-depth", "--max-frame",
+                             "--worker-id"})
+        for (const char* value : {"-5", "-1", "2.5", "1e30"}) {
+            auto bad = argv_of({flag, value});
+            try {
+                (void)parse_cli_options(2, bad.data());
+                ADD_FAILURE() << flag << " " << value << " was accepted";
+            } catch (const analysis_error& e) {
+                EXPECT_NE(std::string(e.what()).find(flag), std::string::npos) << e.what();
+            }
+        }
+    // Zero keeps its meaning where it has one (--threads 0 = all cores).
+    auto zero_threads = argv_of({"--threads", "0", "--ppd", "20"});
+    const cli_options zopt = parse_cli_options(4, zero_threads.data());
+    EXPECT_EQ(zopt.threads, 0u);
+    EXPECT_EQ(zopt.ppd, 20u);
+
+    // The retired solver flags are unknown options.
+    for (const char* flag :
+         {"--order", "--no-simd", "--warm", "--no-supernodal", "--warm-pipeline", "--oneshot"}) {
+        auto retired = argv_of({flag});
+        EXPECT_THROW(parse_cli_options(1, retired.data()), analysis_error) << flag;
+    }
 }
 
 TEST(cli_options, farm_grid_specs)

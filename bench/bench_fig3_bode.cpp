@@ -9,6 +9,7 @@
 #include "circuits/opamp.h"
 #include "core/ascii_plot.h"
 #include "numeric/interpolation.h"
+#include "spice/ac_analysis.h"
 #include "spice/circuit.h"
 #include "spice/measure.h"
 #include "spice/units.h"

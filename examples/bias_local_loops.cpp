@@ -53,14 +53,27 @@ int main()
     // feature; here is that feature: the local loop across temperature.
     using namespace acstab;
     std::puts("==== local loop vs temperature (rail node) ====");
-    const auto points = core::sweep_stability(
-        [](spice::circuit& c, real temp) {
+    core::param_grid grid;
+    grid.temps = {-40.0, 0.0, 27.0, 85.0, 125.0};
+    const auto points = core::sweep_stability_grid(
+        [](spice::circuit& c, const core::grid_point& pt) {
             circuits::bias_params bp;
-            bp.temp_celsius = temp;
-            const circuits::bias_nodes n = circuits::build_standalone_bias(c, bp);
-            return n.rail;
+            bp.temp_celsius = *pt.temp_celsius;
+            return circuits::build_standalone_bias(c, bp).rail;
         },
-        {-40.0, 0.0, 27.0, 85.0, 125.0});
-    std::fputs(core::format_sweep(points, "T [C]").c_str(), stdout);
+        grid);
+    std::puts("T [C]        fn            peak        zeta     est. PM");
+    std::puts("------------------------------------------------------------------");
+    for (const core::grid_point_result& p : points) {
+        const real temp = *p.point.temp_celsius;
+        if (p.status != core::point_status::ok)
+            std::printf("%-12.4g (failed: %s)\n", temp, p.error.c_str());
+        else if (!p.node.has_peak)
+            std::printf("%-12.4g (no complex-pole peak)\n", temp);
+        else
+            std::printf("%-12.4g %-12s %10.3f  %7.3f  %7.1f deg\n", temp,
+                        spice::format_frequency(p.node.dominant.freq_hz).c_str(),
+                        p.node.dominant.value, p.node.zeta, p.node.phase_margin_est_deg);
+    }
     return 0;
 }

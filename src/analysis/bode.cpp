@@ -1,8 +1,8 @@
 #include "analysis/bode.h"
 
 #include "common/error.h"
-#include "engine/adaptive_sweep.h"
 #include "engine/linearized_snapshot.h"
+#include "engine/sweep_channels.h"
 #include "spice/devices/sources.h"
 
 namespace acstab::analysis {
@@ -30,42 +30,26 @@ frequency_response measure_response(spice::circuit& c, const std::string& source
     dc.gmin = opt.gmin;
     const spice::dc_result op = spice::dc_operating_point(c, dc);
 
-    frequency_response out;
-    if (opt.adaptive) {
-        const auto node = c.find_node(output_node);
-        if (!node)
-            throw analysis_error("bode: unknown node '" + output_node + "'");
-        if (*node < 0)
-            throw analysis_error("bode: cannot measure the ground node");
-        c.finalize();
-        engine::snapshot_options sopt;
-        sopt.gmin = opt.gmin;
-        sopt.gshunt = opt.gshunt;
-        sopt.exclusive_source = src;
-        const engine::linearized_snapshot snap(c, op.solution, sopt);
+    const auto node = c.find_node(output_node);
+    if (!node)
+        throw analysis_error("bode: unknown node '" + output_node + "'");
+    if (*node < 0)
+        throw analysis_error("bode: cannot measure the ground node");
+    c.finalize();
+    engine::snapshot_options sopt;
+    sopt.gmin = opt.gmin;
+    sopt.gshunt = opt.gshunt;
+    sopt.exclusive_source = src;
+    const engine::linearized_snapshot snap(c, op.solution, sopt);
 
-        engine::adaptive_sweep_options aopt = engine::adaptive_options_for_grid(freqs_hz);
-        aopt.fit_tol = opt.fit_tol;
-        aopt.anchors_per_decade = opt.anchors_per_decade;
-        aopt.engine.threads = opt.threads;
-        aopt.engine.solver = opt.solver;
-        const engine::adaptive_sweep_result res = engine::adaptive_sweep(aopt).run(
-            snap, {snap.stimulus_rhs()}, {{0, static_cast<std::size_t>(*node)}});
-        out.freq_hz = res.freq_hz;
-        out.factorizations = res.factorizations;
-        out.h = res.values[0];
-    } else {
-        spice::ac_options ac;
-        ac.solver = opt.solver;
-        ac.gmin = opt.gmin;
-        ac.gshunt = opt.gshunt;
-        ac.exclusive_source = src;
-        ac.threads = opt.threads;
-        const spice::ac_result res = spice::ac_sweep(c, freqs_hz, op.solution, ac);
-        out.freq_hz = freqs_hz;
-        out.factorizations = freqs_hz.size();
-        out.h = spice::node_response(c, res, output_node);
-    }
+    frequency_response out;
+    const engine::channel_sweep sw = engine::sweep_channels(
+        snap, freqs_hz, std::nullopt, {snap.stimulus_rhs()},
+        {{0, static_cast<std::size_t>(*node)}}, opt,
+        {[&out](const std::vector<real>& grid) { out.h.resize(grid.size()); },
+         [&out](std::size_t fi, std::size_t, cplx v) { out.h[fi] = v; }});
+    out.freq_hz = sw.freq_hz;
+    out.factorizations = sw.factorizations;
     for (cplx& v : out.h)
         v /= stimulus;
     out.margins = spice::margins(out.freq_hz, out.h);

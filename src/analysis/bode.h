@@ -8,8 +8,9 @@
 #include <string>
 #include <vector>
 
-#include "spice/ac_analysis.h"
+#include "engine/sweep_channels.h"
 #include "spice/circuit.h"
+#include "spice/dc_analysis.h"
 #include "spice/measure.h"
 
 namespace acstab::analysis {
@@ -22,18 +23,11 @@ struct frequency_response {
     std::size_t factorizations = 0;
 };
 
-struct bode_options {
-    spice::solver_kind solver = spice::solver_kind::sparse;
+/// With `adaptive` set, the passed grid defines the band and output
+/// density of the adaptive sweep (engine::grid_band).
+struct bode_options : engine::sweep_config {
     real gmin = 1e-12;
     real gshunt = 0.0;
-    /// Worker threads for the sweep (1 = serial, 0 = all hardware threads).
-    std::size_t threads = 1;
-    /// Adaptive frequency grid (engine/adaptive_sweep): the passed grid
-    /// defines band and output density; only model-flagged frequencies
-    /// are factored, the rest are evaluated from the rational model.
-    bool adaptive = false;
-    real fit_tol = 1e-6;
-    std::size_t anchors_per_decade = 4;
     spice::dc_options dc;
 };
 

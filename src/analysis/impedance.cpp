@@ -6,9 +6,8 @@
 #include <unordered_set>
 
 #include "common/error.h"
-#include "engine/adaptive_sweep.h"
 #include "engine/linearized_snapshot.h"
-#include "engine/sweep_engine.h"
+#include "engine/sweep_channels.h"
 #include "numeric/aaa.h"
 #include "numeric/interpolation.h"
 
@@ -180,71 +179,55 @@ impedance_result analyze_impedance(spice::circuit& c, const std::string& node,
     // side's driving-point impedance.
     const std::vector<engine::sweep_engine::injection> injections{{port, cplx{1.0, 0.0}}};
 
-    if (opt.adaptive) {
-        engine::adaptive_sweep_options aopt;
-        aopt.fstart = opt.fstart;
-        aopt.fstop = opt.fstop;
-        aopt.output_points_per_decade = opt.points_per_decade;
-        aopt.anchors_per_decade = opt.anchors_per_decade;
-        aopt.fit_tol = opt.fit_tol;
-        aopt.engine.threads = opt.threads;
-        aopt.engine.solver = opt.solver;
-        aopt.engine.tuning = opt.tuning;
-        const engine::adaptive_sweep sweep(aopt);
-        const engine::adaptive_sweep_result rs
-            = sweep.run_injections(snap_s, injections, {{0, port}});
-        const engine::adaptive_sweep_result rl
-            = sweep.run_injections(snap_l, injections, {{0, port}});
-        res.factorizations = rs.factorizations + rl.factorizations;
+    // A side's driving-point impedance on its output grid, plus the model
+    // that fills it in between solved points on the adaptive path.
+    struct side_sweep {
+        std::vector<cplx> z;
+        engine::channel_sweep sweep;
+    };
+    const std::vector<real> grid
+        = numeric::log_grid(opt.fstart, opt.fstop, opt.points_per_decade);
+    const engine::sweep_spec band{opt.fstart, opt.fstop, opt.points_per_decade};
+    const auto sweep_side = [&](const engine::linearized_snapshot& snap) {
+        side_sweep side;
+        side.sweep = engine::sweep_channels(
+            snap, grid, band, injections, {{0, port}}, opt,
+            {[&side](const std::vector<real>& f) { side.z.resize(f.size()); },
+             [&side](std::size_t fi, std::size_t, cplx v) { side.z[fi] = v; }});
+        return side;
+    };
+    const side_sweep zs = sweep_side(snap_s);
+    const side_sweep zl = sweep_side(snap_l);
+    res.factorizations = zs.sweep.factorizations + zl.sweep.factorizations;
 
-        // The two sides refine independently, so their output grids agree
-        // on the dense log grid but differ at solved extras: evaluate both
-        // on the union, exact where a side solved, model elsewhere.
-        std::vector<real> merged;
-        merged.reserve(rs.freq_hz.size() + rl.freq_hz.size());
-        std::merge(rs.freq_hz.begin(), rs.freq_hz.end(), rl.freq_hz.begin(),
-                   rl.freq_hz.end(), std::back_inserter(merged));
-        res.freq_hz.reserve(merged.size());
-        for (const real f : merged)
-            if (res.freq_hz.empty() || !same_freq(res.freq_hz.back(), f))
-                res.freq_hz.push_back(f);
+    // Adaptive sides refine independently, so their output grids agree on
+    // the dense log grid but differ at solved extras: evaluate both on the
+    // union, exact where a side solved, model elsewhere. On the fixed grid
+    // both sides share every point, and the union is that grid.
+    std::vector<real> merged;
+    merged.reserve(zs.sweep.freq_hz.size() + zl.sweep.freq_hz.size());
+    std::merge(zs.sweep.freq_hz.begin(), zs.sweep.freq_hz.end(), zl.sweep.freq_hz.begin(),
+               zl.sweep.freq_hz.end(), std::back_inserter(merged));
+    res.freq_hz.reserve(merged.size());
+    for (const real f : merged)
+        if (res.freq_hz.empty() || !same_freq(res.freq_hz.back(), f))
+            res.freq_hz.push_back(f);
 
-        const auto side_values = [&](const engine::adaptive_sweep_result& r) {
-            std::vector<cplx> out(res.freq_hz.size());
-            std::size_t i = 0;
-            for (std::size_t k = 0; k < res.freq_hz.size(); ++k) {
-                const real f = res.freq_hz[k];
-                while (i < r.freq_hz.size() && r.freq_hz[i] < f && !same_freq(r.freq_hz[i], f))
-                    ++i;
-                out[k] = i < r.freq_hz.size() && same_freq(r.freq_hz[i], f)
-                    ? r.values[0][i]
-                    : r.model.eval(0, f);
-            }
-            return out;
-        };
-        res.z_source = side_values(rs);
-        res.z_load = side_values(rl);
-    } else {
-        res.freq_hz = numeric::log_grid(opt.fstart, opt.fstop, opt.points_per_decade);
-        engine::sweep_engine_options eopt;
-        eopt.threads = opt.threads;
-        eopt.solver = opt.solver;
-        eopt.tuning = opt.tuning;
-        const engine::sweep_engine eng(eopt);
-        res.z_source.resize(res.freq_hz.size());
-        res.z_load.resize(res.freq_hz.size());
-        const auto sweep_side
-            = [&](const engine::linearized_snapshot& snap, std::vector<cplx>& out) {
-                  eng.run_injections(snap, res.freq_hz, injections,
-                                     [&out, port](std::size_t fi, std::size_t,
-                                                  std::span<const cplx> sol) {
-                                         out[fi] = sol[port];
-                                     });
-              };
-        sweep_side(snap_s, res.z_source);
-        sweep_side(snap_l, res.z_load);
-        res.factorizations = 2 * res.freq_hz.size();
-    }
+    const auto side_values = [&](const side_sweep& side) {
+        const std::vector<real>& fs = side.sweep.freq_hz;
+        std::vector<cplx> out(res.freq_hz.size());
+        std::size_t i = 0;
+        for (std::size_t k = 0; k < res.freq_hz.size(); ++k) {
+            const real f = res.freq_hz[k];
+            while (i < fs.size() && fs[i] < f && !same_freq(fs[i], f))
+                ++i;
+            out[k] = i < fs.size() && same_freq(fs[i], f) ? side.z[i]
+                                                          : side.sweep.model.eval(0, f);
+        }
+        return out;
+    };
+    res.z_source = side_values(zs);
+    res.z_load = side_values(zl);
 
     // Minor-loop gain and the Nyquist-like verdicts.
     const std::size_t nf = res.freq_hz.size();

@@ -14,11 +14,11 @@
 // operating point (a snapshot_options::device_filter keeps only one
 // side's stamps), and each side costs one batched unit-current RHS sweep
 // against its snapshot — the same machinery as the stability plot, two
-// more right-hand-side batches. The opt-in adaptive path reuses
-// engine::adaptive_sweep per side (same backward-error acceptance
-// contract) and AAA-fits the impedance ratio; the fitted model's -1 level
-// crossings are reported as a low-order estimate of the closed-loop
-// poles (Cooman et al.'s model-free view).
+// more right-hand-side batches. The opt-in adaptive path sweeps each side
+// on its own adaptive grid (same backward-error acceptance contract) and
+// AAA-fits the impedance ratio; the fitted model's -1 level crossings are
+// reported as a low-order estimate of the closed-loop poles (Cooman et
+// al.'s model-free view).
 #ifndef ACSTAB_ANALYSIS_IMPEDANCE_H
 #define ACSTAB_ANALYSIS_IMPEDANCE_H
 
@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "analysis/pole_zero.h"
-#include "engine/sweep_engine.h"
+#include "engine/sweep_channels.h"
 #include "spice/circuit.h"
 #include "spice/dc_analysis.h"
 #include "spice/measure.h"
@@ -34,18 +34,12 @@
 
 namespace acstab::analysis {
 
-struct impedance_options {
+/// With `adaptive` set, each side sweeps its own adaptive grid and the
+/// impedance ratio gets an AAA fit with closed-loop pole estimates.
+struct impedance_options : engine::sweep_config {
     real fstart = 1e3;
     real fstop = 1e9;
     std::size_t points_per_decade = 40;
-    /// Worker threads for the two side sweeps (1 = serial, 0 = all cores).
-    std::size_t threads = 1;
-    /// Adaptive frequency grid per side (engine/adaptive_sweep) plus an
-    /// AAA fit of the impedance ratio with closed-loop pole estimates.
-    bool adaptive = false;
-    real fit_tol = 1e-6;
-    std::size_t anchors_per_decade = 4;
-    spice::solver_kind solver = spice::solver_kind::sparse;
     real gmin = 1e-12;
     /// Node-to-ground regularization; also holds up the nodes a side
     /// snapshot loses to the excluded devices.
@@ -54,9 +48,6 @@ struct impedance_options {
     /// element at the partition node shunts it straight to ground (an RLC
     /// tank), where connectivity alone cannot tell the sides apart.
     std::vector<std::string> source_elements;
-    /// Sparse-solver tuning (ordering / SIMD kernel / supernodal path)
-    /// forwarded to the sweep engine.
-    engine::solver_tuning tuning;
     spice::dc_options dc;
 };
 

@@ -1,9 +1,10 @@
 #include "analysis/loop_gain.h"
 
+#include <array>
+
 #include "common/error.h"
-#include "engine/adaptive_sweep.h"
 #include "engine/linearized_snapshot.h"
-#include "engine/sweep_engine.h"
+#include "engine/sweep_channels.h"
 #include "spice/devices/sources.h"
 
 namespace acstab::analysis {
@@ -43,52 +44,26 @@ loop_gain_result measure_loop_gain(spice::circuit& c, const std::string& probe_v
     const std::vector<engine::sweep_engine::injection> injections{
         {branch, cplx{1.0, 0.0}}, {static_cast<std::size_t>(node_y), cplx{1.0, 0.0}}};
 
-    loop_gain_result out;
-    // Only three solution entries matter; extract them in the sink
-    // instead of copying whole solution vectors out of the engine.
-    std::vector<cplx> vx, vy, ii;
-    if (opt.adaptive) {
-        // The passed grid defines band and output density; both injections
-        // refine on one shared grid (worst-channel error decides).
-        engine::adaptive_sweep_options aopt = engine::adaptive_options_for_grid(freqs_hz);
-        aopt.anchors_per_decade = opt.anchors_per_decade;
-        aopt.fit_tol = opt.fit_tol;
-        aopt.engine.threads = opt.threads;
-        aopt.engine.solver = opt.solver;
-        aopt.engine.tuning = opt.tuning;
-        const engine::adaptive_sweep_result res = engine::adaptive_sweep(aopt).run_injections(
-            snap, injections,
-            {{0, static_cast<std::size_t>(node_x)}, {0, static_cast<std::size_t>(node_y)},
-             {1, branch}});
-        out.freq_hz = res.freq_hz;
-        out.factorizations = res.factorizations;
-        vx = res.values[0];
-        vy = res.values[1];
-        ii = res.values[2];
-    } else {
-        engine::sweep_engine_options eopt;
-        eopt.threads = opt.threads;
-        eopt.solver = opt.solver;
-        eopt.tuning = opt.tuning;
-        const engine::sweep_engine eng(eopt);
-        out.freq_hz = freqs_hz;
-        out.factorizations = freqs_hz.size();
-        vx.resize(freqs_hz.size());
-        vy.resize(freqs_hz.size());
-        ii.resize(freqs_hz.size());
-        eng.run_injections(snap, freqs_hz, injections,
-                           [&vx, &vy, &ii, node_x, node_y, branch](std::size_t fi,
-                                                                   std::size_t ri,
-                                                                   std::span<const cplx> sol) {
-                               if (ri == 0) {
-                                   vx[fi] = sol[static_cast<std::size_t>(node_x)];
-                                   vy[fi] = sol[static_cast<std::size_t>(node_y)];
-                               } else {
-                                   ii[fi] = sol[branch];
-                               }
-                           });
-    }
+    // Three channels: v(x) and v(y) of the voltage injection, the probe
+    // current of the current injection (one shared adaptive grid).
+    std::array<std::vector<cplx>, 3> chan;
+    const engine::channel_sweep sw = engine::sweep_channels(
+        snap, freqs_hz, std::nullopt, injections,
+        {{0, static_cast<std::size_t>(node_x)}, {0, static_cast<std::size_t>(node_y)},
+         {1, branch}},
+        opt,
+        {[&chan](const std::vector<real>& grid) {
+             for (std::vector<cplx>& v : chan)
+                 v.resize(grid.size());
+         },
+         [&chan](std::size_t fi, std::size_t c, cplx v) { chan[c][fi] = v; }});
+    const std::vector<cplx>& vx = chan[0];
+    const std::vector<cplx>& vy = chan[1];
+    const std::vector<cplx>& ii = chan[2];
 
+    loop_gain_result out;
+    out.freq_hz = sw.freq_hz;
+    out.factorizations = sw.factorizations;
     out.tv.resize(out.freq_hz.size());
     out.ti.resize(out.freq_hz.size());
     out.t.resize(out.freq_hz.size());

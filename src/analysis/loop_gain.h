@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "engine/sweep_engine.h"
+#include "engine/sweep_channels.h"
 #include "spice/circuit.h"
 #include "spice/dc_analysis.h"
 #include "spice/measure.h"
@@ -43,21 +43,11 @@ struct loop_gain_result {
     std::size_t factorizations = 0;
 };
 
-struct loop_gain_options {
-    spice::solver_kind solver = spice::solver_kind::sparse;
+/// With `adaptive` set, the passed grid defines the band and output
+/// density of the adaptive sweep (engine::grid_band).
+struct loop_gain_options : engine::sweep_config {
     real gmin = 1e-12;
     real gshunt = 0.0;
-    /// Worker threads for the sweep (1 = serial, 0 = all hardware threads).
-    std::size_t threads = 1;
-    /// Adaptive frequency grid (engine/adaptive_sweep): the passed grid
-    /// defines the band and output density; only model-flagged points are
-    /// factored, the rest are evaluated from the fitted rational model.
-    bool adaptive = false;
-    real fit_tol = 1e-6;
-    std::size_t anchors_per_decade = 4;
-    /// Sparse-solver tuning (ordering / SIMD kernel / supernodal path)
-    /// forwarded to the sweep engine.
-    engine::solver_tuning tuning;
     spice::dc_options dc;
 };
 

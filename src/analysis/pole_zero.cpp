@@ -292,7 +292,7 @@ namespace {
                 v[k] = pencil_.p.g.values()[k] + s * pencil_.p.c.values()[k];
             try {
                 shared_.refactor(work_);
-                if (shared_.growth() <= engine::sweep_engine_options{}.refactor_growth_limit)
+                if (shared_.growth() <= engine::refactor_growth_limit)
                     return shared_;
             } catch (const numeric_error&) {
             }

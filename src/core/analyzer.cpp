@@ -4,9 +4,7 @@
 #include <cmath>
 
 #include "core/second_order.h"
-#include "engine/adaptive_sweep.h"
 #include "engine/linearized_snapshot.h"
-#include "engine/sweep_engine.h"
 
 namespace acstab::core {
 
@@ -23,29 +21,6 @@ namespace {
         sopt.gshunt = opt.gshunt;
         sopt.zero_all_sources = true;
         return engine::linearized_snapshot(c, op, sopt);
-    }
-
-    engine::sweep_engine make_engine(const stability_options& opt)
-    {
-        engine::sweep_engine_options eopt;
-        eopt.threads = opt.threads;
-        eopt.solver = opt.solver;
-        eopt.tuning = opt.tuning;
-        return engine::sweep_engine(eopt);
-    }
-
-    engine::adaptive_sweep make_adaptive(const stability_options& opt)
-    {
-        engine::adaptive_sweep_options aopt;
-        aopt.fstart = opt.sweep.fstart;
-        aopt.fstop = opt.sweep.fstop;
-        aopt.output_points_per_decade = opt.sweep.points_per_decade;
-        aopt.anchors_per_decade = opt.anchors_per_decade;
-        aopt.fit_tol = opt.fit_tol;
-        aopt.engine.threads = opt.threads;
-        aopt.engine.solver = opt.solver;
-        aopt.engine.tuning = opt.tuning;
-        return engine::adaptive_sweep(aopt);
     }
 
 } // namespace
@@ -104,25 +79,19 @@ node_stability stability_analyzer::analyze_node(const std::string& node_name)
     const std::vector<engine::sweep_engine::injection> injections{
         {k, cplx{opt_.stimulus_amps, 0.0}}};
 
-    if (opt_.adaptive) {
-        const engine::adaptive_sweep_result res
-            = make_adaptive(opt_).run_injections(snap, injections, {{0, k}});
-        std::vector<real> magnitude(res.freq_hz.size());
-        for (std::size_t i = 0; i < magnitude.size(); ++i)
-            magnitude[i] = std::abs(res.values[0][i]) / opt_.stimulus_amps;
-        return make_node_result(node_name, res.freq_hz, std::move(magnitude));
-    }
-
+    // The grid is realized on both paths: it checks the band the
+    // stability plot needs before any sweep runs.
     const std::vector<real> freqs = opt_.sweep.frequencies();
-    std::vector<real> magnitude(freqs.size(), 0.0);
-    make_engine(opt_).run_injections(
-        snap, freqs, injections,
-        [&magnitude, k, this](std::size_t fi, std::size_t, std::span<const cplx> sol) {
-            // Normalize to impedance.
-            magnitude[fi] = std::abs(sol[k]) / opt_.stimulus_amps;
-        });
+    std::vector<real> magnitude;
+    const engine::channel_sweep sw = engine::sweep_channels(
+        snap, freqs, opt_.sweep, injections, {{0, k}}, opt_,
+        {[&magnitude](const std::vector<real>& grid) { magnitude.assign(grid.size(), 0.0); },
+         [&magnitude, this](std::size_t fi, std::size_t, cplx v) {
+             // Normalize to impedance.
+             magnitude[fi] = std::abs(v) / opt_.stimulus_amps;
+         }});
 
-    return make_node_result(node_name, freqs, std::move(magnitude));
+    return make_node_result(node_name, sw.freq_hz, std::move(magnitude));
 }
 
 stability_report stability_analyzer::analyze_all_nodes()
@@ -132,11 +101,9 @@ stability_report stability_analyzer::analyze_all_nodes()
 
     const std::size_t node_count = circuit_.node_count();
     const std::vector<real> freqs = opt_.sweep.frequencies();
-    const std::size_t nf = freqs.size();
 
-    std::vector<bool> forced(node_count, false);
-    if (opt_.skip_forced_nodes)
-        forced = circuit_.source_forced_nodes();
+    // Nodes held by ideal voltage sources have zero impedance: skipped.
+    const std::vector<bool> forced = circuit_.source_forced_nodes();
 
     // One unit-current right-hand side per analyzable node: the engine
     // factors Y(jw) once per frequency and back-solves the whole batch
@@ -149,39 +116,27 @@ stability_report stability_analyzer::analyze_all_nodes()
         if (!forced[k])
             injections.push_back({k, cplx{1.0, 0.0}}); // unit current into node k
 
+    // One channel per injection: each node observes its own driving-point
+    // response (the adaptive driver refines on the worst node, so a
+    // single solved grid serves every right-hand side).
+    std::vector<engine::adaptive_channel> channels(injections.size());
+    for (std::size_t ri = 0; ri < injections.size(); ++ri)
+        channels[ri] = {ri, injections[ri].index};
+
     stability_report report;
-    std::vector<real> grid = freqs;
     // magnitude[node][freq]
     std::vector<std::vector<real>> magnitude(node_count);
-    if (opt_.adaptive && !injections.empty()) {
-        // One channel per injection (each node observes its own driving-
-        // point response); the adaptive driver refines on the worst node
-        // so a single solved grid serves every right-hand side.
-        std::vector<engine::adaptive_channel> channels(injections.size());
-        for (std::size_t ri = 0; ri < injections.size(); ++ri)
-            channels[ri] = {ri, injections[ri].index};
-        const engine::adaptive_sweep_result res
-            = make_adaptive(opt_).run_injections(snap, injections, channels);
-        grid = res.freq_hz;
-        report.factorizations = res.factorizations;
-        for (std::size_t ri = 0; ri < injections.size(); ++ri) {
-            std::vector<real>& mag = magnitude[injections[ri].index];
-            mag.resize(grid.size());
-            for (std::size_t fi = 0; fi < grid.size(); ++fi)
-                mag[fi] = std::abs(res.values[ri][fi]);
-        }
-    } else {
-        for (std::size_t k = 0; k < node_count; ++k)
-            magnitude[k].assign(nf, 0.0);
-        report.factorizations = nf;
-        make_engine(opt_).run_injections(
-            snap, freqs, injections,
-            [&magnitude, &injections](std::size_t fi, std::size_t ri,
-                                      std::span<const cplx> sol) {
-                const std::size_t k = injections[ri].index;
-                magnitude[k][fi] = std::abs(sol[k]);
-            });
-    }
+    const engine::channel_sweep sw = engine::sweep_channels(
+        snap, freqs, opt_.sweep, injections, channels, opt_,
+        {[&magnitude, &injections](const std::vector<real>& grid) {
+             for (const engine::sweep_engine::injection& inj : injections)
+                 magnitude[inj.index].assign(grid.size(), 0.0);
+         },
+         [&magnitude, &injections](std::size_t fi, std::size_t ri, cplx v) {
+             magnitude[injections[ri].index][fi] = std::abs(v);
+         }});
+    report.factorizations = sw.factorizations;
+    const std::vector<real>& grid = sw.freq_hz;
 
     for (std::size_t k = 0; k < node_count; ++k) {
         const std::string& name = circuit_.node_name(static_cast<spice::node_id>(k));

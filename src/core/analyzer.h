@@ -20,44 +20,27 @@
 #include <vector>
 
 #include "core/stability_plot.h"
-#include "engine/sweep_engine.h"
+#include "engine/sweep_channels.h"
 #include "spice/circuit.h"
 #include "spice/dc_analysis.h"
 #include "spice/mna.h"
 
 namespace acstab::core {
 
-struct stability_options {
+/// Sweep settings (threads, solver, adaptive grid) come from the
+/// inherited engine::sweep_config; `sweep` is the band.
+struct stability_options : engine::sweep_config {
     sweep_spec sweep;
     plot_options plot;
     /// AC stimulus magnitude [A]. The analysis is linear, so this only
     /// scales the response; 1 A keeps |V| = |Z| directly.
     real stimulus_amps = 1.0;
-    spice::solver_kind solver = spice::solver_kind::sparse;
     real gmin = 1e-12;
     /// Node-to-ground regularization so driving-point impedances of
     /// capacitively floating nodes stay finite.
     real gshunt = 1e-9;
-    /// Worker threads for the frequency sweeps (1 = serial, 0 = all
-    /// hardware threads).
-    std::size_t threads = 1;
-    /// Adaptive frequency grid (engine/adaptive_sweep): solve a coarse
-    /// anchor grid, fit a barycentric rational model, factor-and-solve
-    /// only where the model fails a backward-error check, and evaluate
-    /// the dense output grid from the model. Margins stay within
-    /// tolerance of the dense sweep at a fraction of the factorizations.
-    bool adaptive = false;
-    /// Relative backward-error tolerance of the adaptive model.
-    real fit_tol = 1e-6;
-    /// Anchor density of the adaptive sweep's always-solved coarse grid.
-    std::size_t anchors_per_decade = 4;
-    /// Skip nodes held by ideal voltage sources (their impedance is 0).
-    bool skip_forced_nodes = true;
     /// Relative natural-frequency tolerance when grouping nodes into loops.
     real group_rel_tol = 0.12;
-    /// Sparse-solver tuning (column ordering, SIMD batch kernel,
-    /// supernodal path) forwarded to the sweep engine.
-    engine::solver_tuning tuning;
     /// Options for the underlying operating-point solve.
     spice::dc_options dc;
 };

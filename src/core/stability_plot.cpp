@@ -9,17 +9,6 @@
 
 namespace acstab::core {
 
-std::vector<real> sweep_spec::frequencies() const
-{
-    if (!(fstart > 0.0) || !(fstop > fstart))
-        throw analysis_error("sweep: need 0 < fstart < fstop");
-    if (points_per_decade < 4)
-        throw analysis_error("sweep: need at least 4 points per decade");
-    // The canonical grid shared with the CLI and the adaptive driver's
-    // anchor/output grids (numeric/interpolation.h).
-    return numeric::log_grid(fstart, fstop, points_per_decade, 8);
-}
-
 const stability_peak* stability_plot::dominant_pole() const noexcept
 {
     const stability_peak* best = nullptr;

@@ -13,18 +13,11 @@
 #include <vector>
 
 #include "common/types.h"
+#include "engine/sweep_channels.h"
 
 namespace acstab::core {
 
-/// Logarithmic frequency sweep description.
-struct sweep_spec {
-    real fstart = 1e3;
-    real fstop = 1e9;
-    std::size_t points_per_decade = 40;
-
-    /// The realized log-spaced grid (includes both endpoints).
-    [[nodiscard]] std::vector<real> frequencies() const;
-};
+using engine::sweep_spec;
 
 enum class peak_kind {
     complex_pole, ///< negative peak: a loop's dominant root

@@ -1,10 +1,6 @@
 #include "core/sweeps.h"
 
-#include <cstdio>
-#include <sstream>
-
 #include "engine/sweep_engine.h"
-#include "spice/units.h"
 
 namespace acstab::core {
 
@@ -73,63 +69,6 @@ std::vector<grid_point_result> sweep_stability_grid(const circuit_template& tmpl
             return node;
         },
         grid, opt);
-}
-
-std::vector<sweep_point_result>
-sweep_stability(const std::function<std::string(spice::circuit&, real)>& factory,
-                const std::vector<real>& parameter_values, const stability_options& opt)
-{
-    if (parameter_values.empty())
-        return {};
-
-    // The swept values become a single anonymous grid axis; the grid
-    // runner supplies the per-point dispatch and error capture.
-    param_grid grid;
-    grid.axes.push_back({"value", parameter_values});
-    const std::vector<grid_point_result> res = sweep_stability_grid(
-        [&factory](spice::circuit& c, const grid_point& pt) {
-            return factory(c, pt.overrides.at("value"));
-        },
-        grid, opt);
-
-    std::vector<sweep_point_result> out(res.size());
-    for (std::size_t i = 0; i < res.size(); ++i) {
-        out[i].parameter = parameter_values[i];
-        out[i].node = res[i].node;
-        out[i].status = res[i].status;
-        out[i].error = res[i].error;
-        out[i].dc_converged = res[i].status != point_status::dc_failed;
-    }
-    return out;
-}
-
-std::string format_sweep(const std::vector<sweep_point_result>& points,
-                         const std::string& parameter_name)
-{
-    std::ostringstream os;
-    os << parameter_name << "        fn            peak        zeta     est. PM\n";
-    os << "------------------------------------------------------------------\n";
-    for (const sweep_point_result& p : points) {
-        char line[200];
-        if (p.status == point_status::dc_failed) {
-            std::snprintf(line, sizeof line, "%-12.4g (DC did not converge)\n", p.parameter);
-        } else if (p.status == point_status::analysis_failed) {
-            std::snprintf(line, sizeof line, "%-12.4g (analysis failed: %.120s)\n",
-                          p.parameter, p.error.c_str());
-        } else if (p.status == point_status::quarantined) {
-            std::snprintf(line, sizeof line, "%-12.4g (quarantined: %.120s)\n",
-                          p.parameter, p.error.c_str());
-        } else if (!p.node.has_peak) {
-            std::snprintf(line, sizeof line, "%-12.4g (no complex-pole peak)\n", p.parameter);
-        } else {
-            std::snprintf(line, sizeof line, "%-12.4g %-12s %10.3f  %7.3f  %7.1f deg\n",
-                          p.parameter,
-                          spice::format_frequency(p.node.dominant.freq_hz).c_str(),
-                          p.node.dominant.value, p.node.zeta, p.node.phase_margin_est_deg);
-        }
-        os << line;
-    }
-    return os.str();
 }
 
 } // namespace acstab::core

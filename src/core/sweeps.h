@@ -7,9 +7,7 @@
 // same description drives the distributed farm in src/farm/) or a
 // builder callback. Every per-point failure is RECORDED, never thrown:
 // a pathological corner (singular matrix, non-convergent DC) must not
-// kill the other points of a campaign. The original closure-factory
-// sweep_stability() survives as a thin compatibility wrapper over the
-// grid API.
+// kill the other points of a campaign.
 #ifndef ACSTAB_CORE_SWEEPS_H
 #define ACSTAB_CORE_SWEEPS_H
 
@@ -68,31 +66,6 @@ sweep_stability_grid(const grid_circuit_factory& factory, const param_grid& grid
 [[nodiscard]] std::vector<grid_point_result>
 sweep_stability_grid(const circuit_template& tmpl, const std::string& node,
                      const param_grid& grid, const stability_options& opt = {});
-
-/// One sweep point's outcome for a watched node (legacy closure API).
-struct sweep_point_result {
-    real parameter = 0.0;
-    node_stability node;
-    /// Kept in sync with status (legacy flag; false iff status == dc_failed).
-    bool dc_converged = true;
-    point_status status = point_status::ok;
-    std::string error; ///< diagnostic when status != ok
-};
-
-/// Build-and-analyze at each parameter value (compatibility wrapper over
-/// the grid API: the values become a single anonymous axis). The factory
-/// receives the parameter value and must populate a fresh circuit,
-/// returning the name of the node to watch. Per-point failures — DC
-/// non-convergence and any other analysis error — are recorded, not
-/// thrown. The factory must be thread-safe when opt.threads != 1.
-[[nodiscard]] std::vector<sweep_point_result>
-sweep_stability(const std::function<std::string(spice::circuit&, real)>& factory,
-                const std::vector<real>& parameter_values, const stability_options& opt = {});
-
-/// Render a compact text table of a sweep (parameter, fn, peak, zeta, PM);
-/// failed points render their status instead of numbers.
-[[nodiscard]] std::string format_sweep(const std::vector<sweep_point_result>& points,
-                                       const std::string& parameter_name);
 
 } // namespace acstab::core
 

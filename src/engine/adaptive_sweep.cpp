@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
+#include <span>
 
 #include "common/error.h"
 #include "numeric/aaa.h"
@@ -29,6 +29,13 @@ namespace {
     /// cannot represent (see the saturation bail-out below).
     constexpr std::size_t max_model_order = 48;
 
+    /// Safety valve on fit/refine iterations.
+    constexpr std::size_t max_rounds = 24;
+
+    /// Refinement stops bisecting an interval once it is narrower than
+    /// this fraction of an output-grid step.
+    constexpr real min_gap_steps = 0.25;
+
     bool same_freq(real a, real b)
     {
         return std::fabs(a - b) <= same_freq_rtol * std::max(std::fabs(a), std::fabs(b));
@@ -38,26 +45,6 @@ namespace {
 
 adaptive_sweep::adaptive_sweep(adaptive_sweep_options opt) : opt_(std::move(opt)) {}
 
-adaptive_sweep_options adaptive_options_for_grid(const std::vector<real>& freqs_hz)
-{
-    if (freqs_hz.size() < 2)
-        throw analysis_error("adaptive sweep: need a grid of >= 2 points");
-    if (!(freqs_hz.front() > 0.0))
-        throw analysis_error("adaptive sweep: frequencies must be positive");
-    for (std::size_t i = 1; i < freqs_hz.size(); ++i)
-        if (!(freqs_hz[i] > freqs_hz[i - 1]))
-            throw analysis_error("adaptive sweep: frequency grid must be ascending");
-
-    adaptive_sweep_options opt;
-    opt.fstart = freqs_hz.front();
-    opt.fstop = freqs_hz.back();
-    const real decades = std::log10(opt.fstop / opt.fstart);
-    opt.output_points_per_decade = std::max<std::size_t>(
-        4, static_cast<std::size_t>(
-               std::ceil(static_cast<real>(freqs_hz.size() - 1) / decades)));
-    return opt;
-}
-
 namespace {
 
     struct flagged_candidate {
@@ -66,14 +53,12 @@ namespace {
     };
 
     adaptive_sweep_result run_adaptive(const linearized_snapshot& snap,
-                                       const adaptive_sweep_options& opt, std::size_t nrhs,
+                                       const adaptive_sweep_options& opt,
                                        const std::vector<adaptive_channel>& channels,
-                                       const std::vector<std::vector<cplx>>& bvecs,
-                                       const std::function<void(const std::vector<real>&,
-                                                                std::vector<solved_sample>&)>&
-                                           solve_batch)
+                                       const std::vector<std::vector<cplx>>& bvecs)
     {
         const std::size_t n = snap.size();
+        const std::size_t nrhs = bvecs.size();
         if (nrhs == 0)
             throw analysis_error("adaptive sweep: need at least one right-hand side");
         if (channels.empty())
@@ -88,11 +73,15 @@ namespace {
 
         const std::vector<real> dense
             = numeric::log_grid(opt.fstart, opt.fstop, opt.output_points_per_decade, 8);
-        const std::size_t budget
-            = opt.max_solved_points != 0 ? opt.max_solved_points : dense.size();
-        const real min_gap = opt.min_spacing_decades > 0.0
-            ? opt.min_spacing_decades
-            : 0.25 / static_cast<real>(opt.output_points_per_decade);
+        // Adaptive never factors more frequencies than the grid it replaces.
+        const std::size_t budget = dense.size();
+        const real min_gap = min_gap_steps / static_cast<real>(opt.output_points_per_decade);
+
+        // Seeding the shared symbolic factorization at the band's midpoint
+        // lets every refinement batch hit the snapshot's cached one.
+        sweep_engine_options eopt = opt.engine;
+        eopt.symbolic_omega_ref = to_omega(std::sqrt(opt.fstart * opt.fstop));
+        const sweep_engine eng(eopt);
 
         adaptive_sweep_result res;
         std::vector<solved_sample> samples;
@@ -114,7 +103,11 @@ namespace {
                 fresh[i].f = fresh_f[i];
                 fresh[i].x.resize(nrhs * n);
             }
-            solve_batch(fresh_f, fresh);
+            eng.run(snap, fresh_f, bvecs,
+                    [&fresh, n](std::size_t fi, std::size_t ri, std::span<const cplx> sol) {
+                        std::copy(sol.begin(), sol.end(),
+                                  fresh[fi].x.begin() + static_cast<std::ptrdiff_t>(ri * n));
+                    });
             res.factorizations += fresh.size();
             for (solved_sample& s : fresh)
                 samples.push_back(std::move(s));
@@ -254,7 +247,7 @@ namespace {
 
             if (flagged.empty())
                 break;
-            if (round >= opt.max_rounds || samples.size() >= budget) {
+            if (round >= max_rounds || samples.size() >= budget) {
                 res.converged = false;
                 break;
             }
@@ -371,26 +364,13 @@ adaptive_sweep::run_injections(const linearized_snapshot& snap,
         if (inj.index >= snap.size())
             throw analysis_error("adaptive sweep: injection index out of range");
 
+    // The residual checks need the dense right-hand sides anyway, so the
+    // engine can back-solve those directly.
     std::vector<std::vector<cplx>> bvecs(injections.size(),
                                          std::vector<cplx>(snap.size(), cplx{}));
     for (std::size_t r = 0; r < injections.size(); ++r)
         bvecs[r][injections[r].index] = injections[r].value;
-
-    sweep_engine_options eopt = opt_.engine;
-    eopt.symbolic_omega_ref = to_omega(std::sqrt(opt_.fstart * opt_.fstop));
-    const sweep_engine eng(eopt);
-    const std::size_t n = snap.size();
-    return run_adaptive(snap, opt_, injections.size(), channels, bvecs,
-                        [&](const std::vector<real>& freqs, std::vector<solved_sample>& out) {
-                            eng.run_injections(
-                                snap, freqs, injections,
-                                [&out, n](std::size_t fi, std::size_t ri,
-                                          std::span<const cplx> sol) {
-                                    std::copy(sol.begin(), sol.end(),
-                                              out[fi].x.begin()
-                                                  + static_cast<std::ptrdiff_t>(ri * n));
-                                });
-                        });
+    return run(snap, bvecs, channels);
 }
 
 adaptive_sweep_result adaptive_sweep::run(const linearized_snapshot& snap,
@@ -401,20 +381,7 @@ adaptive_sweep_result adaptive_sweep::run(const linearized_snapshot& snap,
         if (rhs.size() != snap.size())
             throw analysis_error("adaptive sweep: right-hand side has wrong length");
 
-    sweep_engine_options eopt = opt_.engine;
-    eopt.symbolic_omega_ref = to_omega(std::sqrt(opt_.fstart * opt_.fstop));
-    const sweep_engine eng(eopt);
-    const std::size_t n = snap.size();
-    return run_adaptive(snap, opt_, rhs_batch.size(), channels, rhs_batch,
-                        [&](const std::vector<real>& freqs, std::vector<solved_sample>& out) {
-                            eng.run(snap, freqs, rhs_batch,
-                                    [&out, n](std::size_t fi, std::size_t ri,
-                                              std::span<const cplx> sol) {
-                                        std::copy(sol.begin(), sol.end(),
-                                                  out[fi].x.begin()
-                                                      + static_cast<std::ptrdiff_t>(ri * n));
-                                    });
-                        });
+    return run_adaptive(snap, opt_, channels, rhs_batch);
 }
 
 } // namespace acstab::engine

@@ -57,14 +57,6 @@ struct adaptive_sweep_options {
     /// extra solves while keeping margins within rounding of the dense
     /// sweep.
     real fit_tol = 1e-6;
-    /// Refinement stops bisecting an interval once it is narrower than
-    /// this many decades (0 = a quarter of an output-grid step).
-    real min_spacing_decades = 0.0;
-    /// Hard cap on solved frequencies (0 = the fixed output grid's size,
-    /// i.e. adaptive never factors more than the grid it replaces).
-    std::size_t max_solved_points = 0;
-    /// Safety valve on fit/refine iterations.
-    std::size_t max_rounds = 24;
     sweep_engine_options engine;
 };
 
@@ -101,14 +93,6 @@ struct adaptive_sweep_result {
     /// failing the residual check (results are then best-effort).
     bool converged = true;
 };
-
-/// Derive band and output density from an existing log-sweep grid (the
-/// consumers that historically took a realized frequency vector — loop
-/// gain, Bode — reuse the grid's [front, back] range and per-decade
-/// density as the adaptive output spec). The grid must be positive,
-/// strictly ascending and hold at least 2 points.
-[[nodiscard]] adaptive_sweep_options
-adaptive_options_for_grid(const std::vector<real>& freqs_hz);
 
 class adaptive_sweep {
 public:

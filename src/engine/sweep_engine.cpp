@@ -78,10 +78,9 @@ namespace {
             // SpMV. The witness reads final L/U maxima, so growth that
             // cancels back down within a column can pass unprobed — the
             // accepted tradeoff for keeping the per-frequency loop free
-            // of an unconditional extra solve; lower refactor_growth_limit
-            // (0 probes every frequency) to trade speed back for paranoia.
-            if (num_->growth() > opt_.refactor_growth_limit
-                && probe_residual() > opt_.refactor_guard_tol)
+            // of an unconditional extra solve.
+            if (num_->growth() > refactor_growth_limit
+                && probe_residual() > refactor_guard_tol)
                 fresh_factor();
         }
 

@@ -35,12 +35,11 @@
 
 namespace acstab::engine {
 
-/// Sparse-solver tuning shared by every frequency-domain analysis (the
-/// stability analyzer, loop gain, impedance partitions, spice::ac_sweep
-/// and the farm executor all forward one of these into their engine
-/// options). None of the switches changes answers beyond rounding: the
-/// non-default settings are the oracles of the equivalence tests and
-/// the solver benches, and only C++ callers can set them.
+/// Sparse-solver tuning shared by every frequency-domain analysis (each
+/// carries one in its engine::sweep_config). None of the switches
+/// changes answers beyond rounding: the non-default settings are the
+/// oracles of the equivalence tests and the solver benches, and only C++
+/// callers can set them.
 struct solver_tuning {
     /// Fill-reducing column pre-ordering of the shared symbolic LU.
     /// Approximate minimum degree by default, with an ordering cost that
@@ -62,22 +61,24 @@ struct solver_tuning {
     bool supernodal = true;
 };
 
+/// Relative residual above which a refactored system is re-factored
+/// from scratch (guards the reused pivot order far from the symbolic
+/// reference frequency).
+inline constexpr real refactor_guard_tol = 1e-10;
+
+/// Element growth (largest |L| entry of a refactorization) above which
+/// the residual guard actually runs its dense-probe check. Fresh
+/// threshold pivoting bounds growth by 1/pivot_tol = 10, so a modest
+/// limit keeps every frequency witnessed for free (growth is computed
+/// inside the refactor loop) while the probe solve + SpMV are only paid
+/// when the reused pivot order looks stale.
+inline constexpr real refactor_growth_limit = 1e4;
+
 struct sweep_engine_options {
     /// Worker threads (1 = serial on the calling thread, 0 = all hardware
     /// threads).
     std::size_t threads = 1;
     spice::solver_kind solver = spice::solver_kind::sparse;
-    /// Relative residual above which a refactored system is re-factored
-    /// from scratch (guards the reused pivot order far from the symbolic
-    /// reference frequency).
-    real refactor_guard_tol = 1e-10;
-    /// Element growth (largest |L| entry of a refactorization) above
-    /// which the residual guard actually runs its dense-probe check.
-    /// Fresh threshold pivoting bounds growth by 1/pivot_tol = 10, so a
-    /// modest limit keeps every frequency witnessed for free (growth is
-    /// computed inside the refactor loop) while the probe solve + SpMV
-    /// are only paid when the reused pivot order looks stale.
-    real refactor_growth_limit = 1e4;
     /// Share one symbolic factorization (computed at the sweep's middle
     /// frequency, cached on the snapshot) across all workers. When false
     /// each chunk runs its own symbolic analysis, seeded at the chunk's

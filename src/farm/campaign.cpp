@@ -55,6 +55,15 @@ core::tran_stability_options campaign_spec::transient_options() const
     return opt;
 }
 
+void check_sweep(const campaign_spec& spec)
+{
+    if (spec.analysis == campaign_analysis::stability
+        && spec.points_per_decade < engine::min_points_per_decade)
+        throw analysis_error("farm: sweep points_per_decade = "
+                             + std::to_string(spec.points_per_decade)
+                             + " is below the 4 per decade a stability campaign needs");
+}
+
 json_value to_json(const campaign_spec& spec)
 {
     json_value grid = json_value::object();
@@ -164,6 +173,7 @@ campaign_spec campaign_from_json(const json_value& doc)
         if (sweep.find(key) != nullptr)
             throw analysis_error(std::string("farm: plan sweep key '") + key
                                  + "' is retired (solver tuning is no longer a plan setting)");
+    check_sweep(spec);
 
     // The recorded point count guards against grid-decoding drift between
     // the planning and executing binaries.

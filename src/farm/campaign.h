@@ -72,6 +72,10 @@ struct campaign_spec {
     [[nodiscard]] core::tran_stability_options transient_options() const;
 };
 
+/// Refuse a stability campaign below engine::min_points_per_decade (run
+/// by `farm plan` and campaign_from_json).
+void check_sweep(const campaign_spec& spec);
+
 /// Spec <-> JSON (the plan file). Round trips exactly: numbers use the
 /// shortest round-trip form and map-valued fields serialize name-sorted.
 [[nodiscard]] json_value to_json(const campaign_spec& spec);

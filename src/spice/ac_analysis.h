@@ -9,15 +9,17 @@
 #include <string>
 #include <vector>
 
-#include "engine/sweep_engine.h"
+#include "engine/sweep_channels.h"
 #include "spice/circuit.h"
 #include "spice/dc_analysis.h"
 #include "spice/mna.h"
 
 namespace acstab::spice {
 
-struct ac_options {
-    solver_kind solver = solver_kind::sparse;
+/// With `adaptive` set, the passed grid defines the band and output
+/// density of the adaptive sweep (engine::grid_band), and the model fits
+/// every MNA unknown, so the full solution is available on either grid.
+struct ac_options : engine::sweep_config {
     real gmin = 1e-12;
     /// Node-to-ground shunt conductance regularizing floating nodes in the
     /// complex system (mirrors the DC gshunt).
@@ -25,19 +27,6 @@ struct ac_options {
     /// When non-null, AC stimuli of all other sources are zeroed (the
     /// paper's auto-zero feature); this one drives the circuit alone.
     const device* exclusive_source = nullptr;
-    /// Worker threads for the sweep (1 = serial, 0 = all hardware threads).
-    std::size_t threads = 1;
-    /// Adaptive frequency grid (engine/adaptive_sweep): the passed grid
-    /// defines band and output density; one channel per MNA unknown is
-    /// fitted, so the FULL solution vector is available at every output
-    /// frequency (exact where solved, model-evaluated elsewhere) and
-    /// `.ac` cards in `acstab run` decks ride the adaptive path too.
-    bool adaptive = false;
-    real fit_tol = 1e-6;
-    std::size_t anchors_per_decade = 4;
-    /// Sparse-solver tuning (ordering / SIMD kernel / supernodal path)
-    /// forwarded to the sweep engine.
-    engine::solver_tuning tuning;
 };
 
 /// Complex response of every MNA unknown over a frequency sweep.
@@ -47,14 +36,6 @@ struct ac_result {
     /// LU factorizations behind the sweep (fixed grid: one per point;
     /// adaptive: the usually much smaller solved-point count).
     std::size_t factorizations = 0;
-
-    [[nodiscard]] std::size_t point_count() const noexcept { return freq_hz.size(); }
-
-    /// Response of one unknown across the sweep.
-    [[nodiscard]] std::vector<cplx> unknown_response(std::size_t index) const;
-
-    /// Magnitude of one unknown across the sweep.
-    [[nodiscard]] std::vector<real> unknown_magnitude(std::size_t index) const;
 };
 
 /// Run an AC sweep about the given operating point (from dc_operating_point).

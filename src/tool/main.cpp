@@ -31,8 +31,7 @@
 #include "analysis/loop_gain.h"
 #include "analysis/pole_zero.h"
 #include "core/analyzer.h"
-#include "engine/adaptive_sweep.h"
-#include "engine/linearized_snapshot.h"
+#include "engine/sweep_channels.h"
 #include "core/ascii_plot.h"
 #include "core/param_grid.h"
 #include "core/report.h"
@@ -56,6 +55,16 @@ namespace {
 
 using namespace acstab;
 using namespace acstab::tool;
+
+/// The sweep flags, written into an analysis's inherited sweep settings
+/// (solver and tuning keep their defaults: no flag sets them).
+void set_sweep(const cli_options& opt, engine::sweep_config& cfg)
+{
+    cfg.threads = opt.threads;
+    cfg.adaptive = opt.adaptive;
+    cfg.fit_tol = opt.fit_tol;
+    cfg.anchors_per_decade = opt.anchors_per_decade;
+}
 
 /// --fstart/--fstop -> the band the sparse pole search covers.
 [[nodiscard]] analysis::pole_zero_options pole_options(const cli_options& opt)
@@ -92,15 +101,11 @@ int cmd_ac(spice::circuit& c, const cli_options& opt)
     if (opt.node.empty())
         throw analysis_error("ac: --node is required");
     const spice::dc_result op = spice::dc_operating_point(c);
-    // One shared path for both grids: ac_sweep's adaptive branch fits a
-    // per-unknown rational model over the whole solution vector, so the
-    // node is selected after the sweep — exactly like the fixed grid.
+    // ac_sweep returns every unknown on either grid; the node is selected
+    // after the sweep.
     const std::vector<real> grid = numeric::log_grid(opt.fstart, opt.fstop, opt.ppd);
     spice::ac_options aopt;
-    aopt.threads = opt.threads;
-    aopt.adaptive = opt.adaptive;
-    aopt.fit_tol = opt.fit_tol;
-    aopt.anchors_per_decade = opt.anchors_per_decade;
+    set_sweep(opt, aopt);
     const spice::ac_result res = spice::ac_sweep(c, grid, op.solution, aopt);
     const std::vector<real>& freqs = res.freq_hz;
     const std::vector<cplx> h = spice::node_response(c, res, opt.node);
@@ -160,13 +165,8 @@ int cmd_tran(spice::circuit& c, const cli_options& opt)
 int cmd_stability(spice::circuit& c, const cli_options& opt)
 {
     core::stability_options sopt;
-    sopt.sweep.fstart = opt.fstart;
-    sopt.sweep.fstop = opt.fstop;
-    sopt.sweep.points_per_decade = opt.ppd;
-    sopt.threads = opt.threads;
-    sopt.adaptive = opt.adaptive;
-    sopt.fit_tol = opt.fit_tol;
-    sopt.anchors_per_decade = opt.anchors_per_decade;
+    sopt.sweep = {opt.fstart, opt.fstop, opt.ppd};
+    set_sweep(opt, sopt);
     core::stability_analyzer an(c, sopt);
 
     if (!opt.node.empty()) {
@@ -193,14 +193,18 @@ int cmd_impedance(spice::circuit& c, const cli_options& opt)
 {
     if (opt.node.empty())
         throw analysis_error("impedance: --node is required");
+    // The stability cross-check below sweeps the same band: refuse one it
+    // would reject before any verdict is printed.
+    core::stability_options sopt;
+    sopt.sweep = {opt.fstart, opt.fstop, opt.ppd};
+    set_sweep(opt, sopt);
+    (void)sopt.sweep.frequencies();
+
     analysis::impedance_options iopt;
     iopt.fstart = opt.fstart;
     iopt.fstop = opt.fstop;
     iopt.points_per_decade = opt.ppd;
-    iopt.threads = opt.threads;
-    iopt.adaptive = opt.adaptive;
-    iopt.fit_tol = opt.fit_tol;
-    iopt.anchors_per_decade = opt.anchors_per_decade;
+    set_sweep(opt, iopt);
     if (!opt.source.empty())
         iopt.source_elements = parse_name_list(opt.source);
     const analysis::impedance_result res = analysis::analyze_impedance(c, opt.node, iopt);
@@ -223,14 +227,6 @@ int cmd_impedance(spice::circuit& c, const cli_options& opt)
 
     // Cross-check: the paper's stability plot at the same node, plus the
     // pencil-pole ground truth, so the two methodologies vet each other.
-    core::stability_options sopt;
-    sopt.sweep.fstart = opt.fstart;
-    sopt.sweep.fstop = opt.fstop;
-    sopt.sweep.points_per_decade = opt.ppd;
-    sopt.threads = opt.threads;
-    sopt.adaptive = opt.adaptive;
-    sopt.fit_tol = opt.fit_tol;
-    sopt.anchors_per_decade = opt.anchors_per_decade;
     core::stability_analyzer an(c, sopt);
     std::fputs(core::format_node_summary(an.analyze_node(opt.node)).c_str(), stdout);
 
@@ -282,10 +278,7 @@ int cmd_loopgain(spice::circuit& c, const cli_options& opt)
         throw analysis_error("loopgain: --probe <vsource> is required");
     const std::vector<real> freqs = numeric::log_grid(opt.fstart, opt.fstop, opt.ppd);
     analysis::loop_gain_options lopt;
-    lopt.threads = opt.threads;
-    lopt.adaptive = opt.adaptive;
-    lopt.fit_tol = opt.fit_tol;
-    lopt.anchors_per_decade = opt.anchors_per_decade;
+    set_sweep(opt, lopt);
     const analysis::loop_gain_result lg
         = analysis::measure_loop_gain(c, opt.probe, freqs, lopt);
     if (opt.csv) {
@@ -499,6 +492,7 @@ int cmd_farm_plan(const std::string& netlist_path, const cli_options& opt)
             spec.points_per_decade = card.points_per_decade;
         break;
     }
+    farm::check_sweep(spec);
     if (spec.node.empty())
         throw analysis_error("farm plan: no watched node (pass --node or add a "
                              "'.stability <node>' card)");
@@ -729,7 +723,7 @@ volatile std::sig_atomic_t g_serve_shutdown = 0;
 extern "C" void serve_shutdown_handler(int)
 {
     if (g_serve_shutdown < 2)
-        ++g_serve_shutdown;
+        g_serve_shutdown = g_serve_shutdown + 1;
 }
 
 /// acstab serve [--socket PATH | --stdio] [--max-concurrent M] ...: the

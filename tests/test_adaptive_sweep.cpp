@@ -21,6 +21,7 @@
 #include "engine/linearized_snapshot.h"
 #include "numeric/aaa.h"
 #include "numeric/interpolation.h"
+#include "spice/ac_analysis.h"
 #include "spice/dc_analysis.h"
 #include "spice/parser/netlist_parser.h"
 
@@ -217,6 +218,34 @@ TEST(adaptive_sweep, loop_gain_margins_match_fixed_grid)
         EXPECT_NEAR(lg.margins.unity_freq_hz, ref.margins.unity_freq_hz,
                     0.01 * ref.margins.unity_freq_hz);
     }
+}
+
+TEST(adaptive_sweep, non_decade_band_output_contains_every_fixed_grid_point)
+{
+    // 1e3..3e8 is 8.48 decades: the density read back from the realized
+    // grid used to come out as 41/decade, so the adaptive output held only
+    // a few of the fixed grid's frequencies.
+    const std::vector<real> freqs = numeric::log_grid(1e3, 3e8, 40);
+    const auto missing = [&freqs](const std::vector<real>& out) {
+        std::size_t n = 0;
+        for (const real f : freqs)
+            n += std::none_of(out.begin(), out.end(),
+                              [f](real g) { return std::fabs(g - f) <= 1e-9 * f; });
+        return n;
+    };
+
+    spice::parsed_netlist loop = spice::parse_netlist_file(netlist("two_pole_loop.sp"));
+    const spice::dc_result op = spice::dc_operating_point(loop.ckt);
+    spice::ac_options aopt;
+    aopt.adaptive = true;
+    const spice::ac_result ac = spice::ac_sweep(loop.ckt, freqs, op.solution, aopt);
+    EXPECT_EQ(missing(ac.freq_hz), 0u) << "of " << freqs.size();
+
+    analysis::loop_gain_options lopt;
+    lopt.adaptive = true;
+    const analysis::loop_gain_result lg
+        = analysis::measure_loop_gain(loop.ckt, "vprobe", freqs, lopt);
+    EXPECT_EQ(missing(lg.freq_hz), 0u) << "of " << freqs.size();
 }
 
 TEST(adaptive_sweep, opamp_all_nodes_equivalent_at_1_and_4_threads)

@@ -40,6 +40,22 @@ TEST(analyzer, rlc_tank_single_node)
     EXPECT_NEAR(ns.phase_margin_est_deg, 25.0, 1.0);
 }
 
+TEST(analyzer, below_four_points_per_decade_throws_on_both_grids)
+{
+    // The adaptive path used to skip the grid's density guard and report
+    // a wrong damping ratio at 2 points/decade.
+    for (const bool adaptive : {false, true}) {
+        spice::circuit c;
+        circuits::add_parallel_rlc_tank(c, "tank", 0.2, 1e6);
+        stability_options opt = tank_options();
+        opt.sweep.points_per_decade = 2;
+        opt.adaptive = adaptive;
+        stability_analyzer an(c, opt);
+        EXPECT_THROW((void)an.analyze_node("tank"), analysis_error) << adaptive;
+        EXPECT_THROW((void)an.analyze_all_nodes(), analysis_error) << adaptive;
+    }
+}
+
 TEST(analyzer, stimulus_amplitude_invariance)
 {
     // Linearity: the stability plot cannot depend on the stimulus size.

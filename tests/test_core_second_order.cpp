@@ -49,8 +49,8 @@ TEST(second_order, performance_index_round_trip)
         const real p = performance_index(z);
         EXPECT_NEAR(zeta_from_performance_index(p), z, 1e-12);
     }
-    EXPECT_THROW(zeta_from_performance_index(2.0), analysis_error);
-    EXPECT_THROW(zeta_from_performance_index(0.0), analysis_error);
+    EXPECT_THROW((void)zeta_from_performance_index(2.0), analysis_error);
+    EXPECT_THROW((void)zeta_from_performance_index(0.0), analysis_error);
 }
 
 TEST(second_order, table1_matches_paper_rows)

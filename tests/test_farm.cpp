@@ -229,6 +229,30 @@ TEST(farm_campaign, spec_round_trips_through_json)
     EXPECT_DOUBLE_EQ(back.grid.corners[1].overrides.at("rval"), 500.0);
 }
 
+TEST(farm_campaign, stability_plan_below_four_points_per_decade_is_refused)
+{
+    // The stability plot needs 4 points/decade; a plan below that used to
+    // run (adaptive points recorded a wrong verdict as ok).
+    for (const bool adaptive : {false, true}) {
+        farm::campaign_spec spec = tank_campaign();
+        spec.points_per_decade = 2;
+        spec.adaptive = adaptive;
+        const farm::json_value doc = farm::to_json(spec);
+        try {
+            (void)farm::campaign_from_json(doc);
+            ADD_FAILURE() << "plan accepted, adaptive=" << adaptive;
+        } catch (const analysis_error& e) {
+            EXPECT_NE(std::string(e.what()).find("points_per_decade"), std::string::npos)
+                << e.what();
+        }
+    }
+    // Impedance and transient campaigns do not run the stability plot.
+    farm::campaign_spec imp = tank_campaign();
+    imp.points_per_decade = 2;
+    imp.analysis = farm::campaign_analysis::impedance;
+    EXPECT_EQ(farm::campaign_from_json(farm::to_json(imp)).points_per_decade, 2u);
+}
+
 // --- parser campaign inputs ------------------------------------------------
 
 TEST(farm_parser, param_override_wins_over_netlist_card)

@@ -29,7 +29,7 @@ TEST(interp_linear, interior_and_clamping)
 TEST(interp_linear, rejects_short_arrays)
 {
     const std::vector<real> one{1.0};
-    EXPECT_THROW(interp_linear(one, one, 0.5), acstab::numeric_error);
+    EXPECT_THROW((void)interp_linear(one, one, 0.5), acstab::numeric_error);
 }
 
 TEST(find_crossing, locates_level)

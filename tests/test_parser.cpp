@@ -54,13 +54,13 @@ TEST(expression, parameters_and_functions)
 TEST(expression, error_cases)
 {
     parameter_table p;
-    EXPECT_THROW(evaluate_expression("1+", p), parse_error);
-    EXPECT_THROW(evaluate_expression("(1", p), parse_error);
-    EXPECT_THROW(evaluate_expression("unknown_var", p), parse_error);
-    EXPECT_THROW(evaluate_expression("nosuchfn(1)", p), parse_error);
-    EXPECT_THROW(evaluate_expression("1/0", p), parse_error);
-    EXPECT_THROW(evaluate_expression("sqrt(1,2)", p), parse_error);
-    EXPECT_THROW(evaluate_expression("3 4", p), parse_error);
+    EXPECT_THROW((void)evaluate_expression("1+", p), parse_error);
+    EXPECT_THROW((void)evaluate_expression("(1", p), parse_error);
+    EXPECT_THROW((void)evaluate_expression("unknown_var", p), parse_error);
+    EXPECT_THROW((void)evaluate_expression("nosuchfn(1)", p), parse_error);
+    EXPECT_THROW((void)evaluate_expression("1/0", p), parse_error);
+    EXPECT_THROW((void)evaluate_expression("sqrt(1,2)", p), parse_error);
+    EXPECT_THROW((void)evaluate_expression("3 4", p), parse_error);
 }
 
 // ---- netlists ------------------------------------------------------------

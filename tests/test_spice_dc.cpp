@@ -312,7 +312,7 @@ TEST(dc, unknown_node_query_throws)
     c.add<isource>("i1", ground_node, n, 1e-3);
     c.add<resistor>("r1", n, ground_node, 1e3);
     const dc_result op = dc_operating_point(c);
-    EXPECT_THROW(node_voltage(c, op.solution, "nope"), analysis_error);
+    EXPECT_THROW((void)node_voltage(c, op.solution, "nope"), analysis_error);
 }
 
 } // namespace

@@ -185,13 +185,13 @@ TEST(measure, gain_margin_found_modulo_360)
 TEST(measure, error_handling)
 {
     std::vector<real> empty;
-    EXPECT_THROW(overshoot_percent(empty, 0.0, 1.0), analysis_error);
+    EXPECT_THROW((void)overshoot_percent(empty, 0.0, 1.0), analysis_error);
     std::vector<real> one{1.0};
-    EXPECT_THROW(overshoot_percent(one, 0.5, 0.5), analysis_error);
-    EXPECT_THROW(final_value(empty), analysis_error);
+    EXPECT_THROW((void)overshoot_percent(one, 0.5, 0.5), analysis_error);
+    EXPECT_THROW((void)final_value(empty), analysis_error);
     std::vector<real> t{0.0, 1.0};
     std::vector<cplx> h{{1.0, 0.0}};
-    EXPECT_THROW(margins(t, h), analysis_error);
+    EXPECT_THROW((void)margins(t, h), analysis_error);
 }
 
 } // namespace

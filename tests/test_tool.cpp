@@ -120,7 +120,7 @@ TEST(cli_options, sweep_point_count)
 {
     EXPECT_EQ(sweep_point_count(1e3, 1e6, 10), 31u);
     EXPECT_EQ(sweep_point_count(1e3, 1e4, 40), 41u);
-    EXPECT_THROW(sweep_point_count(1e6, 1e3, 10), analysis_error);
+    EXPECT_THROW((void)sweep_point_count(1e6, 1e3, 10), analysis_error);
 }
 
 TEST(ascii_plot, renders_extremes_and_title)

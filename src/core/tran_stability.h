@@ -64,7 +64,7 @@ struct tran_stability_result {
     real final_value = 0.0;
     real zeta = 1.0;             ///< damping estimate (overshoot or log-decrement)
     real equiv_pm_deg = 90.0;    ///< min(100 * zeta, 90) — the AC analyzer's mapping
-    spice::tran_solver_stats solver; ///< shared-path counters for the run
+    spice::newton_solver_stats solver; ///< shared-path counters for the run
     std::vector<real> time;      ///< decimated step response
     std::vector<real> value;
 };

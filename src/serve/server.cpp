@@ -486,7 +486,7 @@ serve_summary run_server(const serve_options& opt)
     try {
         while (true) {
             // --- shutdown / drain ladder ---
-            const int level = opt.shutdown != nullptr ? *opt.shutdown : 0;
+            const int level = opt.shutdown != nullptr ? opt.shutdown->load() : 0;
             if (level >= 1 && !draining) {
                 draining = true;
                 drain_start = steady_clock::now();

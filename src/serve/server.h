@@ -32,7 +32,7 @@
 #ifndef ACSTAB_SERVE_SERVER_H
 #define ACSTAB_SERVE_SERVER_H
 
-#include <csignal>
+#include <atomic>
 #include <cstddef>
 #include <string>
 
@@ -55,11 +55,17 @@ struct serve_options {
     std::string root_dir;  ///< per-request dirs live here (required)
     std::string tool_path; ///< worker binary (empty = /proc/self/exe)
     double drain_grace_s = 10.0; ///< drain budget before checkpointing
-    /// CLI signal flag: 0 = run, 1 = drain (finish in-flight), >=2 =
+    /// Shutdown flag: 0 = run, 1 = drain (finish in-flight), >=2 =
     /// checkpoint in-flight now. Monotonic; the server never resets it.
-    const volatile std::sig_atomic_t* shutdown = nullptr;
+    /// Atomic because another thread (a test, or the CLI's signal
+    /// handler) writes it while the server thread reads it.
+    const std::atomic<int>* shutdown = nullptr;
     bool verbose = false; ///< request lifecycle lines on stderr
 };
+
+// Only lock-free atomics are async-signal-safe, and the CLI writes the
+// shutdown flag from a signal handler.
+static_assert(std::atomic<int>::is_always_lock_free);
 
 struct serve_summary {
     std::size_t accepted = 0;  ///< submits admitted (ran or queued)

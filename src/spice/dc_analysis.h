@@ -1,6 +1,8 @@
-// DC operating-point analysis: damped Newton–Raphson with device-level
-// junction limiting, falling back to gmin stepping and then source
-// stepping (the standard SPICE continuation ladder).
+// DC operating-point analysis: Newton–Raphson under the SPICE3 rules
+// (per-node step limit, junction limiting that blocks convergence; see
+// newton_solver.h) on one shared-symbolic solver, falling back to a
+// gshunt retry, gmin stepping and then source stepping (the standard
+// SPICE continuation ladder). The returned point is polished to roundoff.
 #ifndef ACSTAB_SPICE_DC_ANALYSIS_H
 #define ACSTAB_SPICE_DC_ANALYSIS_H
 
@@ -23,8 +25,12 @@ struct dc_options {
     real reltol = 1e-3;
     real vntol = 1e-6;
     real abstol = 1e-12;
-    /// Largest Newton update applied per unknown per iteration [V or A].
+    /// Largest Newton update of each node voltage per iteration [V];
+    /// branch currents are not limited. 0 disables the limit.
     real max_step = 2.0;
+    /// sparse: every Newton iteration refactors on one shared symbolic
+    /// analysis (newton_solver). dense: one-shot dense LU per iteration,
+    /// the test oracle.
     solver_kind solver = solver_kind::sparse;
     bool allow_gmin_stepping = true;
     bool allow_source_stepping = true;
@@ -32,7 +38,9 @@ struct dc_options {
 
 struct dc_result {
     std::vector<real> solution; ///< node voltages then branch currents
-    int iterations = 0;         ///< Newton iterations of the final solve
+    /// Newton iterations of the final solve, counting its polish steps
+    /// (continuation steps and failed rungs are not counted).
+    int iterations = 0;
     bool used_gmin_stepping = false;
     bool used_source_stepping = false;
     bool used_gshunt = false;

@@ -64,6 +64,15 @@ public:
             rhs_[static_cast<std::size_t>(row)] += value;
     }
 
+    /// Record that a device's Newton limiter (pnjlim) moved a junction
+    /// voltage in this stamp pass: the linearization is not at the
+    /// candidate solution, so the iteration cannot count as converged
+    /// (SPICE's CKTnoncon). Per builder, so concurrent DC solves never
+    /// share a count.
+    void note_limited() noexcept { ++limited_; }
+    [[nodiscard]] std::size_t limited() const noexcept { return limited_; }
+    void clear_limited() noexcept { limited_ = 0; }
+
     [[nodiscard]] numeric::triplet_matrix<T>& matrix() noexcept { return matrix_; }
     [[nodiscard]] const numeric::triplet_matrix<T>& matrix() const noexcept { return matrix_; }
     [[nodiscard]] std::vector<T>& rhs() noexcept { return rhs_; }
@@ -72,6 +81,7 @@ public:
 private:
     numeric::triplet_matrix<T> matrix_;
     std::vector<T> rhs_;
+    std::size_t limited_ = 0;
 };
 
 /// Per-stamp analysis context shared by DC and transient.

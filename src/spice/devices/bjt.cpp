@@ -54,7 +54,7 @@ bjt::eval_result bjt::evaluate(real vbe, real vbc) const noexcept
 }
 
 void bjt::stamp_linearized(const std::vector<real>& x, const stamp_params& p,
-                           system_builder<real>& b, bool limit)
+                           system_builder<real>& b)
 {
     const node_id nc = nodes()[0];
     const node_id nb = nodes()[1];
@@ -64,12 +64,12 @@ void bjt::stamp_linearized(const std::vector<real>& x, const stamp_params& p,
     const real nvt_f = model_.nf * vt;
     const real nvt_r = model_.nr * vt;
 
-    real vbe = pol_ * unknown_voltage(x, nb, ne);
-    real vbc = pol_ * unknown_voltage(x, nb, nc);
-    if (limit) {
-        vbe = pnjlim(vbe, vbe_state_, nvt_f, junction_vcrit(model_.is, nvt_f));
-        vbc = pnjlim(vbc, vbc_state_, nvt_r, junction_vcrit(model_.is, nvt_r));
-    }
+    const real vbe_in = pol_ * unknown_voltage(x, nb, ne);
+    const real vbc_in = pol_ * unknown_voltage(x, nb, nc);
+    const real vbe = pnjlim(vbe_in, vbe_state_, nvt_f, junction_vcrit(model_.is, nvt_f));
+    const real vbc = pnjlim(vbc_in, vbc_state_, nvt_r, junction_vcrit(model_.is, nvt_r));
+    if (vbe != vbe_in || vbc != vbc_in)
+        b.note_limited();
     vbe_state_ = vbe;
     vbc_state_ = vbc;
 
@@ -118,7 +118,7 @@ void bjt::stamp_linearized(const std::vector<real>& x, const stamp_params& p,
 
 void bjt::stamp_dc(const std::vector<real>& x, const stamp_params& p, system_builder<real>& b)
 {
-    stamp_linearized(x, p, b, true);
+    stamp_linearized(x, p, b);
 }
 
 void bjt::stamp_ac(const std::vector<real>& op, const ac_params& p, system_builder<cplx>& b) const
@@ -160,7 +160,7 @@ void bjt::tran_begin(const std::vector<real>& op)
 
 void bjt::stamp_tran(const std::vector<real>& x, const tran_params& p, system_builder<real>& b)
 {
-    stamp_linearized(x, p.dc, b, true);
+    stamp_linearized(x, p.dc, b);
     const eval_result r = evaluate(vbe_state_, vbc_state_);
     cap_be_.stamp(b, nodes()[1], nodes()[2], r.cbe, p);
     cap_bc_.stamp(b, nodes()[1], nodes()[0], r.cbc, p);

@@ -83,7 +83,7 @@ private:
     };
     [[nodiscard]] eval_result evaluate(real vbe, real vbc) const noexcept;
     void stamp_linearized(const std::vector<real>& x, const stamp_params& p,
-                          system_builder<real>& b, bool limit);
+                          system_builder<real>& b);
 
     bjt_model model_;
     real pol_ = 1.0;

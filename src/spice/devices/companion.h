@@ -5,7 +5,7 @@
 //
 // Pattern contract: for fixed (c > 0, dt > 0) the matrix stamp hits the
 // same coordinates every Newton iterate, which is what lets the shared
-// transient solver (spice/tran_solver.h) deposit into one fixed CSC
+// Newton solver (spice/newton_solver.h) deposit into one fixed CSC
 // pattern instead of compressing a fresh matrix per solve. A capacitance
 // crossing zero changes the emitted stamp sequence; the solver detects
 // that as a pattern-breaking event and re-runs the symbolic analysis.

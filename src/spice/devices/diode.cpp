@@ -18,8 +18,10 @@ void diode::stamp_dc(const std::vector<real>& x, const stamp_params& p, system_b
 {
     const real n_vt = model_.n * thermal_voltage(model_.temp);
     const real vcrit = junction_vcrit(model_.is, n_vt);
-    real vd = unknown_voltage(x, nodes()[0], nodes()[1]);
-    vd = pnjlim(vd, v_limit_state_, n_vt, vcrit);
+    const real v_in = unknown_voltage(x, nodes()[0], nodes()[1]);
+    const real vd = pnjlim(v_in, v_limit_state_, n_vt, vcrit);
+    if (vd != v_in)
+        b.note_limited();
     v_limit_state_ = vd;
 
     const junction_current jc = junction_exp(vd, model_.is, n_vt);

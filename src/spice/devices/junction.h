@@ -23,7 +23,9 @@ namespace acstab::spice {
 }
 
 /// SPICE3 pnjlim: clamp the Newton update of a junction voltage so the
-/// exponential cannot overflow or oscillate.
+/// exponential cannot overflow or oscillate. A result other than v_new
+/// means the limiter engaged; the device reports that through
+/// system_builder::note_limited.
 [[nodiscard]] inline real pnjlim(real v_new, real v_old, real n_vt, real vcrit) noexcept
 {
     if (v_new > vcrit && std::fabs(v_new - v_old) > 2.0 * n_vt) {

@@ -3,8 +3,8 @@
 //
 // These one-shot helpers compress and factor from scratch per call. Loops
 // that solve the same pattern repeatedly should not use them: frequency
-// sweeps go through engine::sweep_engine and transient Newton solves
-// through spice::tran_solver, both of which share one symbolic
+// sweeps go through engine::sweep_engine and DC and transient Newton solves
+// through spice::newton_solver, both of which share one symbolic
 // factorization and refactor numerically in place.
 #ifndef ACSTAB_SPICE_MNA_H
 #define ACSTAB_SPICE_MNA_H

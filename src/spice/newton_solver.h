@@ -1,0 +1,184 @@
+// The Newton loop of every nonlinear solve (DC operating-point rungs and
+// transient steps) and the shared-symbolic linear solver it runs on.
+//
+// newton_iterate is the one Newton–Raphson loop in spice/. The caller
+// supplies the stamp pass (stamp_dc or stamp_tran, plus gshunt); the loop
+// solves, rejects non-finite solutions, applies the SPICE3 convergence
+// rules (Nagel 1975; Quarles 1989) and reports how it ended:
+//   * an iteration whose stamp pass engaged a device limiter (pnjlim,
+//     counted through system_builder::note_limited — SPICE's CKTnoncon)
+//     never counts as converged;
+//   * an optional step limit clamps each node voltage's update on its
+//     own; branch currents are never limited;
+//   * an optional polish takes unlimited steps after the tolerance test
+//     passes until the update is at roundoff, so the returned point no
+//     longer depends on the path Newton took.
+//
+// newton_solver: the stamp pattern is fixed across Newton iterations and
+// timesteps — device topology never changes mid-run, only conductance and
+// equivalent-current values do — so the sweep engine's central trick
+// applies: run the (AMD-ordered) symbolic analysis ONCE and refactor
+// numerically in place for every Newton solve. Devices still stamp
+// through the familiar system_builder; instead of compressing a fresh CSC
+// matrix and re-running the symbolic analysis per solve, the k-th add()
+// of a stamp pass deposits into a recorded CSC slot (the slot map is
+// built from the first pass's (row, col) entry sequence, sorted exactly
+// like the csc_matrix triplet constructor).
+//
+// The pattern is *observed*, never assumed: every stamp pass is verified
+// against the recorded (row, col) sequence in O(nnz), because
+// triplet_matrix::add drops exact-zero values — a device conductance
+// crossing zero (a MOSFET entering cutoff, a junction with vanishing gm)
+// or a DC rung adding gshunt changes the stamp sequence even though the
+// topology did not. Any mismatch is a pattern-breaking event: the CSC
+// pattern, slot map and symbolic factorization are rebuilt and the run
+// continues.
+//
+// Numeric safety is a two-tier guard. The refactorization's
+// element growth is a free witness; when it exceeds growth_limit a
+// single SpMV residual probe checks the solution against the assembled
+// matrix, and a failed probe re-pivots (fresh symbolic analysis on the
+// current values) and re-solves. A zero pivot during refactorization
+// triggers the same re-pivot before the step is declared singular.
+#ifndef ACSTAB_SPICE_NEWTON_SOLVER_H
+#define ACSTAB_SPICE_NEWTON_SOLVER_H
+
+#include <cstddef>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "numeric/sparse_factor.h"
+#include "numeric/sparse_matrix.h"
+#include "spice/device.h"
+#include "spice/mna.h"
+
+namespace acstab::spice {
+
+/// Guard thresholds of the shared path. The symbolic analysis always
+/// runs the default approximate-minimum-degree ordering and the numeric
+/// refactorization the blocked/supernodal path.
+struct newton_solver_options {
+    /// Threshold-pivoting tolerance of the symbolic analysis.
+    double pivot_tol = 0.1;
+    /// Element growth above which the residual probe runs.
+    real growth_limit = 1e4;
+    /// Relative residual above which the reused pivot order is declared
+    /// stale and the symbolic factorization is rebuilt.
+    real residual_tol = 1e-10;
+};
+
+/// Counters for --solver-stats and the equivalence/regression tests.
+struct newton_solver_stats {
+    std::size_t solves = 0;           ///< Newton solves served
+    std::size_t symbolic_builds = 0;  ///< symbolic analyses run (1 in the steady state)
+    std::size_t pattern_rebuilds = 0; ///< stamp-sequence changes observed
+    std::size_t guard_probes = 0;     ///< growth witness tripped, residual probed
+    std::size_t guard_rebuilds = 0;   ///< stale pivots / zero pivots that re-pivoted
+};
+
+class newton_solver {
+public:
+    explicit newton_solver(std::size_t n, const newton_solver_options& opt = {});
+
+    /// Builder for the next stamp pass, with matrix, RHS and limiter
+    /// count cleared. The triplet capacity and the CSC pattern behind it
+    /// are reused.
+    [[nodiscard]] system_builder<real>& begin_stamp();
+
+    /// Deposit the stamped values into the fixed CSC pattern, refactor
+    /// against the shared symbolic object and solve for the stamped RHS.
+    /// Throws numeric_error when the system is singular even under a
+    /// fresh pivot order.
+    [[nodiscard]] std::vector<real> solve();
+
+    [[nodiscard]] const newton_solver_stats& stats() const noexcept { return stats_; }
+
+private:
+    /// True when the current stamp sequence matches the recorded one.
+    [[nodiscard]] bool pattern_matches() const noexcept;
+    /// Rebuild CSC pattern + slot map from the current triplet entries,
+    /// then re-run the symbolic analysis.
+    void rebuild_pattern();
+    /// Re-run the symbolic analysis on the current CSC values (fresh
+    /// pivot order) and refactor.
+    void rebuild_symbolic();
+    /// Scatter triplet values into the CSC value array via the slot map.
+    void deposit();
+    /// Relative residual ||Ax - b||_inf / ||b||_inf of a candidate x.
+    [[nodiscard]] real residual_rel(const std::vector<real>& x);
+
+    std::size_t n_;
+    newton_solver_options opt_;
+    system_builder<real> builder_;
+
+    // Fixed CSC pattern and the stamp-sequence slot map over it.
+    bool has_pattern_ = false;
+    numeric::csc_matrix<real> csc_;
+    std::vector<std::size_t> slot_;      ///< triplet entry k -> CSC value slot
+    std::vector<std::size_t> entry_row_; ///< recorded stamp sequence
+    std::vector<std::size_t> entry_col_;
+
+    std::shared_ptr<const numeric::symbolic_lu<real>> sym_;
+    std::unique_ptr<numeric::numeric_lu<real>> num_;
+    std::vector<real> resid_; ///< SpMV probe scratch
+
+    newton_solver_stats stats_;
+};
+
+/// Convergence rules of one Newton solve.
+struct newton_rules {
+    int max_iterations = 200;
+    real reltol = 1e-3;
+    real vntol = 1e-6;  ///< absolute floor for node voltages [V]
+    real abstol = 1e-12; ///< absolute floor for branch currents [A]
+    /// Largest update of each node voltage per iteration [V]; 0 leaves
+    /// updates unlimited. Branch currents are never limited.
+    real max_step = 0.0;
+    /// Unlimited steps taken after the tolerance test passes, until the
+    /// update is at roundoff (0 returns the first point that passes).
+    int max_polish = 0;
+};
+
+/// How one Newton solve ended.
+struct newton_outcome {
+    bool converged = false;
+    int iterations = 0;      ///< including polish steps
+    real worst_delta = 0.0;  ///< largest unknown update of the last iteration
+    bool singular = false;   ///< the linearized system could not be factored
+    bool non_finite = false; ///< the solve returned a non-finite value
+};
+
+/// Stamps the linearization at candidate x into the builder.
+using stamp_pass = std::function<void(const std::vector<real>& x, system_builder<real>& b)>;
+
+/// Newton-iterate x in place from its current value. `nodes` is the
+/// number of leading node-voltage unknowns; the rest are branch currents.
+/// `shared` selects the shared-symbolic solver; null runs the one-shot
+/// solve_system path with `oneshot` (the test oracle). Both run the
+/// identical iteration — only the linear-solve plumbing differs. Never
+/// throws for a singular or non-finite system: the outcome says so and
+/// the caller's ladder reacts.
+[[nodiscard]] newton_outcome newton_iterate(std::vector<real>& x, std::size_t nodes,
+                                            const newton_rules& rules, const stamp_pass& stamp,
+                                            newton_solver* shared, solver_kind oneshot);
+
+/// Node-to-ground shunt `g` on each of the first `nodes` unknowns; 0
+/// stamps nothing.
+void stamp_gshunt(std::size_t nodes, real g, system_builder<real>& b);
+
+/// One ladder rung's verdict: what the Newton loop did where it gave up.
+[[nodiscard]] std::string describe_outcome(const newton_outcome& out);
+
+/// Append one attempted-rung clause to the ladder diagnostic that a
+/// final convergence_error carries.
+void log_rung(std::string& ladder, const std::string& clause);
+
+/// Shortest round-trip number text for the non-convergence ladder
+/// diagnostics (std::to_chars: locale-independent, unlike %g).
+[[nodiscard]] std::string format_value(real v);
+
+} // namespace acstab::spice
+
+#endif // ACSTAB_SPICE_NEWTON_SOLVER_H

@@ -1,125 +1,31 @@
 #include "spice/tran_analysis.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <memory>
 
 namespace acstab::spice {
 
 namespace {
 
-    struct step_outcome {
-        bool converged = false;
-        int iterations = 0;
-        real worst_delta = 0.0; ///< largest unknown update of the last iteration
-        bool singular = false;  ///< the companion system could not be factored
-        bool non_finite = false; ///< the solve returned a non-finite value
-    };
-
-    /// Shortest round-trip number text for the non-convergence ladder
-    /// diagnostics (std::to_chars: locale-independent, unlike %g).
-    [[nodiscard]] std::string format_value(real v)
+    /// Newton iteration for one candidate time step: companion-model
+    /// stamps plus gshunt, no step limit. Updates x in place and reports
+    /// how the loop ended so the halving ladder can react. `shared`
+    /// selects the shared-symbolic solver; null runs the one-shot path.
+    newton_outcome solve_step(circuit& c, std::vector<real>& x, const tran_params& p,
+                              const tran_options& opt, newton_solver* shared)
     {
-        char buf[40];
-        const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-        return ec == std::errc() ? std::string(buf, ptr) : std::string("?");
-    }
-
-    /// One ladder rung's verdict: what the Newton loop did at the step
-    /// size it gave up on.
-    [[nodiscard]] std::string describe_outcome(const step_outcome& out)
-    {
-        if (out.singular)
-            return "singular matrix after " + std::to_string(out.iterations)
-                + " iteration(s)";
-        if (out.non_finite)
-            return "non-finite solution after " + std::to_string(out.iterations)
-                + " iteration(s)";
-        return "no convergence in " + std::to_string(out.iterations)
-            + " iteration(s) (last max update " + format_value(out.worst_delta) + ")";
-    }
-
-    /// Append one attempted-step clause to the ladder diagnostic that a
-    /// final convergence_error carries.
-    void log_rung(std::string& ladder, const std::string& clause)
-    {
-        if (!ladder.empty())
-            ladder += "; ";
-        ladder += clause;
-    }
-
-    /// Companion-model stamps for one Newton iterate.
-    void stamp_system(circuit& c, const std::vector<real>& x, const tran_params& p,
-                      real gshunt, system_builder<real>& b)
-    {
-        for (const auto& dev : c.devices())
-            dev->stamp_tran(x, p, b);
-        if (gshunt > 0.0) {
-            const std::size_t nodes = c.node_count();
-            for (std::size_t i = 0; i < nodes; ++i)
-                b.add(static_cast<node_id>(i), static_cast<node_id>(i), gshunt);
-        }
-    }
-
-    /// Newton iteration for one candidate time step. Updates x in place
-    /// and reports how the loop ended so the halving ladder can react.
-    /// `shared` selects the shared-symbolic solver; null runs the seed
-    /// one-shot path. Both run the identical iteration and convergence
-    /// test — only the linear-solve plumbing differs.
-    step_outcome solve_step(circuit& c, std::vector<real>& x, const tran_params& p,
-                            const tran_options& opt, tran_solver* shared)
-    {
-        const std::size_t n = c.unknown_count();
+        newton_rules rules;
+        rules.max_iterations = opt.max_newton;
+        rules.reltol = opt.reltol;
+        rules.vntol = opt.vntol;
+        rules.abstol = opt.abstol;
         const std::size_t nodes = c.node_count();
-        step_outcome out;
-
-        for (int it = 0; it < opt.max_newton; ++it) {
-            std::vector<real> x_new;
-            try {
-                if (shared) {
-                    system_builder<real>& b = shared->begin_stamp();
-                    stamp_system(c, x, p, opt.dc.gshunt, b);
-                    x_new = shared->solve();
-                } else {
-                    system_builder<real> b(n);
-                    stamp_system(c, x, p, opt.dc.gshunt, b);
-                    x_new = solve_system(b, opt.solver);
-                }
-            } catch (const numeric_error&) {
-                out.singular = true;
-                out.iterations = it + 1;
-                return out;
-            }
-
-            // A non-finite value never converges, and Newton cannot
-            // recover from it: give up on this step size.
-            if (!std::all_of(x_new.begin(), x_new.end(), [](real v) { return std::isfinite(v); })) {
-                out.non_finite = true;
-                out.iterations = it + 1;
-                return out;
-            }
-
-            bool converged = true;
-            real worst = 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                const real delta = std::fabs(x_new[i] - x[i]);
-                const real floor_tol = i < nodes ? opt.vntol : opt.abstol;
-                const real tol = opt.reltol * std::max(std::fabs(x_new[i]), std::fabs(x[i]))
-                    + floor_tol;
-                if (delta > tol)
-                    converged = false;
-                worst = std::max(worst, delta);
-            }
-            out.worst_delta = worst;
-            out.iterations = it + 1;
-            x = std::move(x_new);
-            if (converged) {
-                out.converged = true;
-                return out;
-            }
-        }
-        return out;
+        const auto stamp = [&](const std::vector<real>& xi, system_builder<real>& b) {
+            for (const auto& dev : c.devices())
+                dev->stamp_tran(xi, p, b);
+            stamp_gshunt(nodes, opt.dc.gshunt, b);
+        };
+        return newton_iterate(x, nodes, rules, stamp, shared, opt.solver);
     }
 
 } // namespace
@@ -154,9 +60,9 @@ tran_result transient(circuit& c, const tran_options& opt)
 
     // One shared symbolic factorization serves every Newton solve of the
     // run; the one-shot path re-factors from scratch per solve.
-    std::unique_ptr<tran_solver> shared;
+    std::unique_ptr<newton_solver> shared;
     if (opt.shared_solver && opt.solver == solver_kind::sparse)
-        shared = std::make_unique<tran_solver>(c.unknown_count());
+        shared = std::make_unique<newton_solver>(c.unknown_count());
 
     tran_result res;
     res.time.push_back(0.0);
@@ -195,7 +101,7 @@ tran_result transient(circuit& c, const tran_options& opt)
             p.dc = dc_params;
 
             std::vector<real> x_try = x;
-            const step_outcome out = solve_step(c, x_try, p, opt, shared.get());
+            const newton_outcome out = solve_step(c, x_try, p, opt, shared.get());
             if (out.converged) {
                 for (const auto& dev : c.devices())
                     dev->tran_accept(x_try, p);

@@ -2,9 +2,11 @@
 // at t=0 and after every source breakpoint, Newton iteration per step, and
 // automatic step halving when Newton stalls.
 //
-// Newton solves run on the shared-symbolic path by default (one symbolic
-// factorization for the whole run, numeric-only refactorization per
-// solve — see tran_solver.h); the seed's one-shot factor-per-solve path
+// Each step runs the Newton loop DC shares (newton_solver.h): no step
+// limit, and an iteration whose junction limiter engaged is not
+// converged. Newton solves run on the shared-symbolic path by default
+// (one symbolic factorization for the whole run, numeric-only
+// refactorization per solve); the seed's one-shot factor-per-solve path
 // is kept behind shared_solver=false as the ablation and equivalence
 // baseline.
 #ifndef ACSTAB_SPICE_TRAN_ANALYSIS_H
@@ -16,7 +18,7 @@
 #include "spice/circuit.h"
 #include "spice/dc_analysis.h"
 #include "spice/mna.h"
-#include "spice/tran_solver.h"
+#include "spice/newton_solver.h"
 
 namespace acstab::spice {
 
@@ -32,7 +34,7 @@ struct tran_options {
     real abstol = 1e-12;
     solver_kind solver = solver_kind::sparse;
     /// Route every Newton solve through one shared symbolic factorization
-    /// with numeric-only refactorization (tran_solver). OFF selects the
+    /// with numeric-only refactorization (newton_solver). OFF selects the
     /// seed one-shot path — fresh compression + symbolic analysis +
     /// factorization per Newton iteration. Sparse-only; the dense
     /// reference solver ignores it. Both paths run the identical Newton
@@ -46,7 +48,7 @@ struct tran_result {
     std::vector<real> time;
     std::vector<std::vector<real>> solution; ///< [step][unknown]
     /// Shared-path solver counters (all zero on the one-shot/dense path).
-    tran_solver_stats solver;
+    newton_solver_stats solver;
     /// Set when every step size from the last stored time on gave a
     /// non-finite solution: the response grew past double range (an
     /// unstable loop), so the run stops there and the waveform ends

@@ -17,6 +17,7 @@
 //                                                      shards anywhere, merge
 //                                                      deterministically)
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <csignal>
 #include <cstdio>
@@ -718,12 +719,13 @@ int cmd_farm_worker(const std::string& plan_path, const cli_options& opt)
 /// Shutdown ladder for `acstab serve`: first SIGTERM/SIGINT = drain
 /// (finish in-flight requests), second = checkpoint them now. The
 /// handler only bumps the flag; the server polls it.
-volatile std::sig_atomic_t g_serve_shutdown = 0;
+std::atomic<int> g_serve_shutdown{0};
 
 extern "C" void serve_shutdown_handler(int)
 {
-    if (g_serve_shutdown < 2)
-        g_serve_shutdown = g_serve_shutdown + 1;
+    const int level = g_serve_shutdown.load();
+    if (level < 2)
+        g_serve_shutdown.store(level + 1);
 }
 
 /// acstab serve [--socket PATH | --stdio] [--max-concurrent M] ...: the

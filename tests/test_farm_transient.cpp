@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/analyzer.h"
+#include "core/param_grid.h"
 #include "core/tran_stability.h"
 #include "farm/campaign.h"
 #include "farm/executor.h"
@@ -242,6 +243,46 @@ TEST(farm_transient, crosscheck_rlc_tank_injected_step)
     EXPECT_NEAR(tr.zeta, ac.zeta, 0.05);
     EXPECT_NEAR(tr.equiv_pm_deg, ac.phase_margin_est_deg, 5.0);
     EXPECT_NEAR(tr.ringing_freq_hz, 1e6, 1e5);
+}
+
+TEST(farm_transient, verdict_does_not_depend_on_where_dc_stopped)
+{
+    // The benchmark's seed-1 campaign cell (perfbench/gen.py
+    // campaign_cell(1)) at point 60 of its transient plan, TEMP 16.8673 C
+    // and cl = 38.2341 pF, built the way a farm worker builds it. The
+    // step response starts from the DC point, so a point that only met
+    // reltol = 1e-3 started off equilibrium: the equivalent PM read
+    // 17.914 deg against 17.064 deg from the exact operating point.
+    const core::circuit_template tmpl{
+        "",
+        "* campaign cell (emitter follower), seed 1\n"
+        ".model fnpn npn is=1e-16 bf=150 br=2 vaf=80 cje=0.25p vje=0.75 mje=0.33\n"
+        "+ cjc=0.15p vjc=0.6 mjc=0.4 tf=0.5n tr=10n\n"
+        ".param rs=10024.8 cl=5.41215e-11\n"
+        "vdd vdd 0 5\n"
+        "vbias f_src 0 2.5 ac 1\n"
+        "rsource f_src f_in {rs}\n"
+        "qf vdd f_in f_out fnpn\n"
+        "iload f_out 0 1m\n"
+        "cload f_out 0 {cl}\n"
+        ".end\n"};
+    core::param_grid grid;
+    grid.temps = {16.8673};
+    grid.axes = {{"cl", {3.82341e-11}}};
+    const auto measure = [&](real dc_reltol) {
+        spice::circuit c = std::move(tmpl.build(grid.point(0)).ckt);
+        core::tran_stability_options topt;
+        topt.source = "vbias";
+        topt.step_size = 0.01;
+        topt.tstop = 400e-9;
+        topt.dt = 1e-9;
+        topt.tran.dc.reltol = dc_reltol;
+        return core::measure_tran_stability(c, "f_out", topt);
+    };
+    const core::tran_stability_result def = measure(1e-3);
+    const core::tran_stability_result exact = measure(1e-9);
+    EXPECT_NEAR(def.equiv_pm_deg, exact.equiv_pm_deg, 0.01);
+    EXPECT_NEAR(def.overshoot_pct, exact.overshoot_pct, 0.01);
 }
 
 TEST(farm_transient, unstable_loop_flagged_unstable_in_time_domain)

@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -109,7 +108,7 @@ struct fault_env {
 /// the suite with a live server).
 struct serve_fixture {
     serve::serve_options opt;
-    volatile std::sig_atomic_t shutdown_flag = 0;
+    std::atomic<int> shutdown_flag{0};
     serve::serve_summary summary;
     std::thread thread;
     bool joined = false;
@@ -143,7 +142,7 @@ struct serve_fixture {
     {
         if (joined)
             return;
-        shutdown_flag = static_cast<std::sig_atomic_t>(level);
+        shutdown_flag = level;
         thread.join();
         joined = true;
     }

@@ -2,6 +2,7 @@
 // nonlinear bias points, continuation fallbacks and failure modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -16,11 +17,21 @@
 #include "spice/devices/mosfet.h"
 #include "spice/devices/passive.h"
 #include "spice/devices/sources.h"
+#include "spice/parser/netlist_parser.h"
+
+#ifndef ACSTAB_NETLIST_DIR
+#define ACSTAB_NETLIST_DIR "netlists"
+#endif
 
 namespace {
 
 using namespace acstab;
 using namespace acstab::spice;
+
+[[nodiscard]] parsed_netlist follower()
+{
+    return parse_netlist_file(std::string(ACSTAB_NETLIST_DIR) + "/follower.sp");
+}
 
 TEST(dc, resistor_divider)
 {
@@ -303,6 +314,47 @@ TEST(dc, tolerances_are_respected)
     opt.max_iterations = 3; // linear: converges immediately regardless
     const dc_result op = dc_operating_point(c, opt);
     EXPECT_LE(op.iterations, 3);
+}
+
+TEST(dc, engaged_limiter_never_counts_as_converged)
+{
+    // With the node step limit off, only pnjlim bounds the BJT's first
+    // iterations on follower.sp. An iteration whose limiter moved a
+    // junction voltage used to pass the tolerance test and return
+    // V(f_out) = -9.96e8 V after 2 iterations.
+    parsed_netlist ref = follower();
+    const dc_result def = dc_operating_point(ref.ckt);
+    const real v_ref = node_voltage(ref.ckt, def.solution, "f_out");
+
+    parsed_netlist net = follower();
+    dc_options opt;
+    opt.max_step = 0.0;
+    const dc_result op = dc_operating_point(net.ckt, opt);
+    EXPECT_NEAR(node_voltage(net.ckt, op.solution, "f_out"), v_ref,
+                opt.reltol * std::fabs(v_ref));
+}
+
+TEST(dc, dense_oracle_matches_the_shared_solver)
+{
+    // The returned point is polished to roundoff, so it does not depend
+    // on the linear solver. With the whole update scaled by the branch
+    // current's swing, the dense path once stalled at V(f_out) = 0.776 V
+    // and failed every rung.
+    parsed_netlist a = follower();
+    const dc_result shared = dc_operating_point(a.ckt);
+    parsed_netlist b = follower();
+    dc_options opt;
+    opt.solver = solver_kind::dense;
+    const dc_result dense = dc_operating_point(b.ckt, opt);
+
+    ASSERT_EQ(shared.solution.size(), dense.solution.size());
+    real scale = 0.0;
+    real diff = 0.0;
+    for (std::size_t i = 0; i < shared.solution.size(); ++i) {
+        scale = std::max(scale, std::fabs(shared.solution[i]));
+        diff = std::max(diff, std::fabs(shared.solution[i] - dense.solution[i]));
+    }
+    EXPECT_LE(diff, 1e-12 * scale);
 }
 
 TEST(dc, unknown_node_query_throws)

@@ -3,8 +3,8 @@
 // (sweep engine) vs re-stamp-per-frequency, engine thread scaling on the
 // all-nodes stability sweep, and (A2c) the symbolic-sharing + batched-
 // solve axis on the shipped follower.sp netlist: PR 1 engine path
-// (per-worker symbolic analysis, per-RHS allocating solves) vs shared
-// symbolic vs shared symbolic + batched solves. Also audits that the
+// (per-worker symbolic analysis, per-RHS allocating solves) vs the engine
+// (shared symbolic + batched solves). Also audits that the
 // steady-state sweep loop performs zero heap allocations per frequency
 // point, via a global operator-new counter, and (A3) compares the fixed
 // 40/decade grid against the adaptive rational-fit sweep on the three
@@ -283,8 +283,7 @@ std::vector<std::vector<real>> allnodes_pr1_path(spice::circuit& c, const std::v
 /// pattern, refactor per frequency, batched multi-RHS, threaded.
 std::vector<std::vector<real>> allnodes_engine(spice::circuit& c, const std::vector<real>& op,
                                                const std::vector<real>& freqs, real gshunt,
-                                               std::size_t threads, bool shared_symbolic = true,
-                                               std::size_t rhs_block = 32)
+                                               std::size_t threads)
 {
     c.finalize();
     const std::size_t nodes = c.node_count();
@@ -302,8 +301,6 @@ std::vector<std::vector<real>> allnodes_engine(spice::circuit& c, const std::vec
     std::vector<std::vector<real>> magnitude(nodes, std::vector<real>(freqs.size(), 0.0));
     engine::sweep_engine_options eopt;
     eopt.threads = threads;
-    eopt.shared_symbolic = shared_symbolic;
-    eopt.rhs_block = rhs_block;
     engine::sweep_engine(eopt).run_injections(
         snap, freqs, injections,
         [&magnitude, &injections](std::size_t fi, std::size_t ri, std::span<const cplx> sol) {
@@ -443,12 +440,8 @@ void print_solver_path_ablation()
     const std::vector<mode> modes = {
         {"pr1_path", "PR 1 path (per-worker symbolic, alloc solves)",
          [&] { return allnodes_pr1_path(c, op.solution, freqs, gshunt); }},
-        {"per_chunk_unbatched", "per-chunk symbolic, unbatched",
-         [&] { return allnodes_engine(c, op.solution, freqs, gshunt, 1, false, 1); }},
-        {"shared_symbolic", "shared symbolic, unbatched",
-         [&] { return allnodes_engine(c, op.solution, freqs, gshunt, 1, true, 1); }},
         {"shared_batched", "shared symbolic + batched solves",
-         [&] { return allnodes_engine(c, op.solution, freqs, gshunt, 1, true, 32); }},
+         [&] { return allnodes_engine(c, op.solution, freqs, gshunt, 1); }},
     };
 
     double pr1_ms = 0.0;

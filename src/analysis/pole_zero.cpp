@@ -4,12 +4,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 
 #include "common/error.h"
 #include "engine/linearized_snapshot.h"
-#include "engine/sweep_engine.h"
 #include "numeric/eig.h"
 #include "numeric/lu.h"
 #include "numeric/sparse_factor.h"
@@ -282,25 +280,16 @@ namespace {
             real radius;
         };
 
-        /// Factors of G + sC. A reused pivot order that degrades (growth
-        /// beyond the engine's refactor_growth_limit, or a zero pivot)
-        /// gets a fresh analysis at s, as in the sweep engine's guard.
+        /// Factors of G + sC, refactored under the held pivot order
+        /// through numeric_lu::factor, which re-pivots at s (and keeps
+        /// that order for later shifts) when the order has gone stale.
         numeric::numeric_lu<cplx>& factor_at(cplx s)
         {
             std::vector<cplx>& v = work_.values_mut();
             for (std::size_t k = 0; k < v.size(); ++k)
                 v[k] = pencil_.p.g.values()[k] + s * pencil_.p.c.values()[k];
-            try {
-                shared_.refactor(work_);
-                if (shared_.growth() <= engine::refactor_growth_limit)
-                    return shared_;
-            } catch (const numeric_error&) {
-            }
-            numeric::symbolic_lu<cplx>::factor_values seed;
-            auto sym = std::make_shared<const numeric::symbolic_lu<cplx>>(
-                work_, numeric::lu_options{}, &seed);
-            local_.emplace(std::move(sym), std::move(seed));
-            return *local_;
+            shared_.factor(work_);
+            return shared_;
         }
 
         /// y = (G + sC)^{-1} C x with `lu` holding the factors at s.
@@ -521,7 +510,6 @@ namespace {
         const real w_lo_;
         const real w_hi_;
         numeric::numeric_lu<cplx> shared_;
-        std::optional<numeric::numeric_lu<cplx>> local_;
         numeric::csc_matrix<cplx> work_;
         std::vector<cplx> start_;
         std::vector<std::vector<cplx>> basis_;

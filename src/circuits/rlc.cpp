@@ -1,3 +1,9 @@
+// GCC 12 false positive (GCC bug 105651): -Wrestrict on libstdc++'s
+// inlined std::string concatenation. Off for this file, before its includes.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wrestrict"
+#endif
+
 #include "circuits/rlc.h"
 
 #include <cmath>

@@ -1,7 +1,6 @@
 #include "engine/sweep_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -17,71 +16,39 @@ namespace acstab::engine {
 namespace {
 
     /// Per-worker solver state: a pattern workspace plus a numeric
-    /// factorization refactored in place frequency to frequency against a
-    /// symbolic object that is either shared across all workers or local
-    /// to the chunk. The steady-state factor/solve loop performs no heap
-    /// allocations; only the fresh-factor fallback (stale pivot order)
-    /// allocates, and only when it actually triggers.
+    /// factorization refactored in place frequency to frequency against
+    /// the snapshot's shared symbolic object. The steady-state
+    /// factor/solve loop performs no heap allocations; only a re-pivot
+    /// (stale shared order, see numeric_lu::factor) allocates, and only
+    /// when it actually triggers.
     class chunk_solver {
     public:
-        /// With a shared symbolic object the chunk skips its own symbolic
-        /// pass entirely. Otherwise omega_ref seeds a local analysis; the
-        /// chunk's middle frequency serves both ends of a log-spaced
-        /// range far better than its first point.
+        /// `shared` is the snapshot's symbolic object (null on the dense
+        /// reference path).
         chunk_solver(const linearized_snapshot& snap, const sweep_engine_options& opt,
-                     real omega_ref, std::shared_ptr<const numeric::symbolic_lu<cplx>> shared)
-            : snap_(snap), opt_(opt), work_(snap.make_workspace())
+                     std::shared_ptr<const numeric::symbolic_lu<cplx>> shared)
+            : snap_(snap), work_(snap.make_workspace())
         {
-            if (opt_.solver == spice::solver_kind::sparse) {
-                if (shared != nullptr) {
-                    sym_ = std::move(shared);
-                    num_.emplace(sym_);
-                    configure(*num_);
-                } else {
-                    snap_.assemble(omega_ref, work_);
-                    fresh_factor();
-                }
-                probe_b_.assign(snap_.size(), cplx{1.0, 0.0});
-                probe_x_.resize(snap_.size());
-                probe_r_.resize(snap_.size());
+            if (opt.solver == spice::solver_kind::sparse) {
+                num_.emplace(std::move(shared));
+                num_->set_batch_kernel(opt.tuning.simd ? numeric::batch_kernel::simd
+                                                       : numeric::batch_kernel::scalar);
+                num_->set_supernodal(opt.tuning.supernodal);
             }
         }
 
-        /// Factor Y(j w): a values-only refactor under the reused pivot
-        /// order, guarded by growth + probe, with a fresh pivot-selecting
-        /// factorization as the fallback. Throws numeric_error only if the
+        /// Factor Y(j w) under the guarded refactorization, so every
+        /// right-hand side of the batch — not just the first — sees a
+        /// validated factorization. Throws numeric_error only if the
         /// matrix is singular under every pivot order (matching the
         /// direct path).
         void factor(real omega)
         {
             snap_.assemble(omega, work_);
-            if (opt_.solver == spice::solver_kind::dense) {
+            if (num_)
+                num_->factor(work_);
+            else
                 dense_.emplace(work_.to_dense());
-                return;
-            }
-            try {
-                num_->refactor(work_);
-            } catch (const numeric_error&) {
-                // Exact zero pivot under the reused order; re-pivot from
-                // the current values. A fresh factorization chooses its
-                // pivots from this very matrix, so no guard is needed.
-                fresh_factor();
-                return;
-            }
-            // Two-tier guard, at factor time, so every right-hand side of
-            // the batch — not just the first — sees a validated
-            // factorization. Tier 1 is free: the element growth computed
-            // from the refactored values witnesses a stale pivot order.
-            // Only when it looks suspicious does tier 2 solve a dense
-            // all-ones probe (it excites every column, unlike a sparse
-            // user RHS) and measure its backward error with an in-place
-            // SpMV. The witness reads final L/U maxima, so growth that
-            // cancels back down within a column can pass unprobed — the
-            // accepted tradeoff for keeping the per-frequency loop free
-            // of an unconditional extra solve.
-            if (num_->growth() > refactor_growth_limit
-                && probe_residual() > refactor_guard_tol)
-                fresh_factor();
         }
 
         /// Back-solve a batch of right-hand sides against the current
@@ -103,55 +70,10 @@ namespace {
         }
 
     private:
-        void configure(numeric::numeric_lu<cplx>& num) const
-        {
-            num.set_batch_kernel(opt_.tuning.simd ? numeric::batch_kernel::simd
-                                                  : numeric::batch_kernel::scalar);
-            num.set_supernodal(opt_.tuning.supernodal);
-        }
-
-        /// Normwise backward error of Y x = 1 for the all-ones probe:
-        /// ||Y x - b||_inf / (||Y||_max ||x||_inf + ||b||_inf), so the
-        /// threshold is meaningful for badly scaled circuits (milliohm
-        /// branches, gigaohm nodes) where an absolute residual would trip
-        /// on every frequency. Allocation-free; runs only when the growth
-        /// witness already flagged the factorization.
-        [[nodiscard]] real probe_residual()
-        {
-            std::copy(probe_b_.begin(), probe_b_.end(), probe_x_.begin());
-            num_->solve_in_place(probe_x_.data());
-            work_.multiply_into(probe_x_, probe_r_);
-            real residual = 0.0;
-            real xmax = 0.0;
-            for (std::size_t i = 0; i < probe_r_.size(); ++i) {
-                residual = std::max(residual, std::abs(probe_r_[i] - probe_b_[i]));
-                xmax = std::max(xmax, std::abs(probe_x_[i]));
-            }
-            real ymax = 0.0;
-            for (const cplx& v : work_.values())
-                ymax = std::max(ymax, std::abs(v));
-            return residual / (ymax * xmax + 1.0);
-        }
-
-        void fresh_factor()
-        {
-            // Adopt the seed values the pivot-selecting analysis computes
-            // anyway instead of repeating the numeric elimination.
-            numeric::lu_options sopt;
-            sopt.ordering = opt_.tuning.ordering;
-            numeric::symbolic_lu<cplx>::factor_values seed;
-            sym_ = std::make_shared<const numeric::symbolic_lu<cplx>>(work_, sopt, &seed);
-            num_.emplace(sym_, std::move(seed));
-            configure(*num_);
-        }
-
         const linearized_snapshot& snap_;
-        const sweep_engine_options& opt_;
         numeric::csc_matrix<cplx> work_;
-        std::shared_ptr<const numeric::symbolic_lu<cplx>> sym_;
         std::optional<numeric::numeric_lu<cplx>> num_;
         std::optional<numeric::lu_decomposition<cplx>> dense_;
-        std::vector<cplx> probe_b_, probe_x_, probe_r_;
     };
 
 } // namespace
@@ -166,6 +88,11 @@ std::size_t sweep_engine::resolved_threads() const noexcept
 namespace {
 
     constexpr std::size_t no_prev = std::numeric_limits<std::size_t>::max();
+
+    /// Right-hand sides per batched back-solve: bounds the worker-local
+    /// staging to O(rhs_block * n) while still amortizing each L/U
+    /// traversal across the batch.
+    constexpr std::size_t rhs_block = 32;
 
     /// Shared chunked sweep. bind_rhs(ri, slot, prev) returns a pointer to
     /// right-hand side ri, either borrowing caller storage directly or
@@ -189,13 +116,13 @@ namespace {
 
         const std::size_t n = snap.size();
         const std::size_t nf = freqs_hz.size();
-        const std::size_t block = std::max<std::size_t>(1, std::min(opt.rhs_block, nrhs));
+        const std::size_t block = std::min(rhs_block, nrhs);
 
         // One symbolic analysis for the whole sweep, computed (or fetched
         // from the snapshot's cache) on the calling thread before any
         // worker starts.
         std::shared_ptr<const numeric::symbolic_lu<cplx>> shared_sym;
-        if (opt.solver == spice::solver_kind::sparse && opt.shared_symbolic)
+        if (opt.solver == spice::solver_kind::sparse)
             shared_sym = snap.shared_symbolic(opt.symbolic_omega_ref > 0.0
                                                   ? opt.symbolic_omega_ref
                                                   : to_omega(freqs_hz[nf / 2]),
@@ -211,8 +138,7 @@ namespace {
         thread_pool::shared().parallel_for(workers, workers, [&](std::size_t w) {
             const std::size_t begin = w * base + std::min(w, rem);
             const std::size_t end = begin + base + (w < rem ? 1 : 0);
-            chunk_solver solver(snap, opt, to_omega(freqs_hz[begin + (end - begin) / 2]),
-                                shared_sym);
+            chunk_solver solver(snap, opt, shared_sym);
             // All worker storage is allocated here, once; the frequency
             // loop below is allocation-free in steady state.
             std::vector<cplx> staging(block * n, cplx{});

@@ -9,14 +9,14 @@
 //   * the symbolic LU (pivot order, L/U patterns) is computed ONCE per
 //     snapshot at the grid's middle frequency and shared read-only by all
 //     workers; per frequency each worker assembles the snapshot into its
-//     CSC workspace and refactors numerically in place, with a dense-probe
-//     residual guard that falls back to a fresh local factorization when
-//     the reused pivot order degrades (or hits an exact zero pivot);
+//     CSC workspace and refactors numerically in place through
+//     numeric_lu::factor, whose guard re-pivots locally when the reused
+//     order degrades (or hits an exact zero pivot);
 //   * right-hand sides are back-solved in batches: one traversal of L and
-//     one of U per batch of up to rhs_block columns, with zero heap
-//     allocations in the steady-state loop — the paper's one-stimulus-
-//     per-node sweep becomes one refactorization plus one batched
-//     back-solve per frequency.
+//     one of U per batch of up to 32 columns, with zero heap allocations
+//     in the steady-state loop — the paper's one-stimulus-per-node sweep
+//     becomes one refactorization plus one batched back-solve per
+//     frequency.
 //
 // for_each() exposes the same pool for coarse-grained parameter-point
 // dispatch (corner/TEMP sweeps), with results slotted by index so
@@ -61,39 +61,17 @@ struct solver_tuning {
     bool supernodal = true;
 };
 
-/// Relative residual above which a refactored system is re-factored
-/// from scratch (guards the reused pivot order far from the symbolic
-/// reference frequency).
-inline constexpr real refactor_guard_tol = 1e-10;
-
-/// Element growth (largest |L| entry of a refactorization) above which
-/// the residual guard actually runs its dense-probe check. Fresh
-/// threshold pivoting bounds growth by 1/pivot_tol = 10, so a modest
-/// limit keeps every frequency witnessed for free (growth is computed
-/// inside the refactor loop) while the probe solve + SpMV are only paid
-/// when the reused pivot order looks stale.
-inline constexpr real refactor_growth_limit = 1e4;
-
 struct sweep_engine_options {
     /// Worker threads (1 = serial on the calling thread, 0 = all hardware
     /// threads).
     std::size_t threads = 1;
     spice::solver_kind solver = spice::solver_kind::sparse;
-    /// Share one symbolic factorization (computed at the sweep's middle
-    /// frequency, cached on the snapshot) across all workers. When false
-    /// each chunk runs its own symbolic analysis, seeded at the chunk's
-    /// middle frequency — kept as an ablation/bisection axis.
-    bool shared_symbolic = true;
     /// Angular frequency at which the shared symbolic factorization is
     /// seeded. 0 (the default) uses the middle of each run's grid; the
     /// adaptive driver pins it to the band's midpoint so its many small
     /// refinement batches all hit the snapshot's cached symbolic object
     /// instead of re-running the symbolic analysis per batch.
     real symbolic_omega_ref = 0.0;
-    /// Upper bound on right-hand sides per batched back-solve. Bounds the
-    /// worker-local staging to O(rhs_block * n) while still amortizing
-    /// each L/U traversal across the batch; 1 disables batching.
-    std::size_t rhs_block = 32;
     /// Ordering / kernel tuning (see solver_tuning).
     solver_tuning tuning;
 };
@@ -122,9 +100,9 @@ public:
     /// A single-entry right-hand side: `value` injected at one unknown
     /// (the stability sweeps' unit-current stimuli). Workers stage these
     /// into reused block columns — updated by clearing only the previously
-    /// set index — so a batch of N injections costs O(rhs_block * n)
-    /// memory and O(1) per-solve setup instead of the O(N * n) of dense
-    /// rhs vectors.
+    /// set index — so a batch of N injections costs O(n) memory per
+    /// 32-column block and O(1) per-solve setup instead of the O(N * n)
+    /// of dense rhs vectors.
     struct injection {
         std::size_t index = 0;
         cplx value{1.0, 0.0};

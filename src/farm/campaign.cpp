@@ -2,6 +2,7 @@
 
 #include "common/error.h"
 #include "farm/json_convert.h"
+#include "spice/tran_analysis.h"
 
 namespace acstab::farm {
 
@@ -62,6 +63,8 @@ void check_sweep(const campaign_spec& spec)
         throw analysis_error("farm: sweep points_per_decade = "
                              + std::to_string(spec.points_per_decade)
                              + " is below the 4 per decade a stability campaign needs");
+    if (spec.analysis == campaign_analysis::transient)
+        spice::check_tran_window("farm: transient", spec.tran_tstop, spec.tran_dt);
 }
 
 json_value to_json(const campaign_spec& spec)

@@ -72,7 +72,8 @@ struct campaign_spec {
     [[nodiscard]] core::tran_stability_options transient_options() const;
 };
 
-/// Refuse a stability campaign below engine::min_points_per_decade (run
+/// Refuse a stability campaign below engine::min_points_per_decade and a
+/// transient campaign whose window spice::check_tran_window refuses (run
 /// by `farm plan` and campaign_from_json).
 void check_sweep(const campaign_spec& spec);
 

@@ -226,26 +226,6 @@ namespace {
         return rec;
     }
 
-    /// Impedance-campaign shard body: one analyze_impedance per point,
-    /// points dispatched on the shared pool (per-point analysis serial,
-    /// mirroring core::sweep_stability_grid), every failure recorded.
-    [[nodiscard]] std::vector<point_record>
-    run_impedance_shard(const campaign_spec& spec, const shard_range& range,
-                        std::size_t threads)
-    {
-        const core::circuit_template tmpl{spec.netlist, ""};
-        const analysis::impedance_options point_opt = spec.impedance_options(1);
-
-        std::vector<point_record> records(range.end - range.begin);
-        engine::sweep_engine_options eopt;
-        eopt.threads = threads;
-        const engine::sweep_engine eng(eopt);
-        eng.for_each(records.size(), [&](std::size_t i) {
-            records[i] = run_impedance_point(spec, tmpl, point_opt, range.begin + i);
-        });
-        return records;
-    }
-
     /// One transient grid point, serially, every failure recorded
     /// (convergence failures — DC operating point or a transient Newton
     /// ladder bottoming out — report dc_failed like the other kinds).
@@ -282,25 +262,7 @@ namespace {
         return rec;
     }
 
-    /// Transient-campaign shard body, mirroring the impedance shape:
-    /// per-point analysis serial, points dispatched on the shared pool.
-    [[nodiscard]] std::vector<point_record>
-    run_transient_shard(const campaign_spec& spec, const shard_range& range,
-                        std::size_t threads)
-    {
-        const core::circuit_template tmpl{spec.netlist, ""};
-        std::vector<point_record> records(range.end - range.begin);
-        engine::sweep_engine_options eopt;
-        eopt.threads = threads;
-        const engine::sweep_engine eng(eopt);
-        eng.for_each(records.size(), [&](std::size_t i) {
-            records[i] = run_transient_point(spec, tmpl, range.begin + i);
-        });
-        return records;
-    }
-
-    /// One stability grid point as a point_record (shared by run_shard's
-    /// bulk path and the orchestrator's point_runner).
+    /// One stability grid point as a point_record.
     [[nodiscard]] point_record record_from_grid_result(const core::grid_point_result& res)
     {
         point_record rec;
@@ -328,26 +290,16 @@ namespace {
 std::vector<point_record> run_shard(const campaign_spec& spec, std::size_t shard,
                                     std::size_t shard_count, std::size_t threads)
 {
-    if (spec.node.empty())
-        throw analysis_error("farm: campaign has no watched node");
+    const point_runner runner(spec);
     const shard_range range = shard_slice(spec.grid.size(), shard, shard_count);
-
-    if (spec.analysis == campaign_analysis::impedance)
-        return run_impedance_shard(spec, range, threads);
-    if (spec.analysis == campaign_analysis::transient)
-        return run_transient_shard(spec, range, threads);
-
-    const core::circuit_template tmpl{spec.netlist, ""};
-    const std::vector<core::grid_point_result> results = core::sweep_stability_grid(
-        [&tmpl, &spec](spice::circuit& c, const core::grid_point& pt) {
-            c = std::move(tmpl.build(pt).ckt);
-            return spec.node;
-        },
-        spec.grid, range.begin, range.end, spec.stability_options(threads));
-
-    std::vector<point_record> records(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i)
-        records[i] = record_from_grid_result(results[i]);
+    // Points run concurrently on the shared pool, each analysis serial
+    // inside, with records slotted by index.
+    std::vector<point_record> records(range.end - range.begin);
+    engine::sweep_engine_options eopt;
+    eopt.threads = threads;
+    engine::sweep_engine(eopt).for_each(records.size(), [&](std::size_t i) {
+        records[i] = runner.run(range.begin + i);
+    });
     return records;
 }
 

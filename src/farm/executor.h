@@ -98,12 +98,13 @@ struct point_record {
                                                   std::size_t shard, std::size_t shard_count,
                                                   std::size_t threads = 1);
 
-/// One-point-at-a-time executor for the work-stealing farm workers: each
-/// call runs a single grid point serially and returns its record. Records
-/// are byte-identical (after point_record_to_json) to what run_shard
-/// produces for the same point — per-point analysis is independent and
-/// deterministic — which is the foundation of the orchestrator's
-/// retries-are-byte-safe and merge-byte-identity guarantees.
+/// One-point-at-a-time executor for the work-stealing farm workers and
+/// for run_shard, which runs it over its slice: each call runs a single
+/// grid point serially and returns its record. Per-point analysis is
+/// independent and deterministic, so a point's record bytes (after
+/// point_record_to_json) do not depend on who ran it — the foundation of
+/// the orchestrator's retries-are-byte-safe and merge-byte-identity
+/// guarantees.
 class point_runner {
 public:
     explicit point_runner(campaign_spec spec);

@@ -2,6 +2,14 @@
 // unit is compiled with -mavx2 -mfma when the compiler accepts them
 // (CMakeLists); everything here stays behind the runtime cpuid gate in
 // available(), so linking these bodies into a baseline binary is safe.
+
+// GCC 12 false positive (GCC bug 105593): -Wmaybe-uninitialized on the
+// self-initialized '__Y' of _mm512_undefined_pd, inlined into every
+// _mm512_permute_pd. Off for this file, before the intrinsics header.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
 #include "numeric/sn_kernels.h"
 
 #if defined(__AVX2__) && defined(__FMA__)

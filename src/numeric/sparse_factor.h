@@ -11,7 +11,10 @@
 //     object frequency to frequency. Its solve_in_place / solve_batch
 //     back-solve whole RHS batches in one L and one U traversal without
 //     a single heap allocation, which is what makes the sweep hot loop
-//     allocation-free.
+//     allocation-free. Its factor() is the one guarded refactorization:
+//     the sweep engine, the Newton solver and the pole search reuse a
+//     pivot order only through it, and it re-pivots when the order has
+//     gone stale.
 //
 // sparse_lu.h keeps the original one-object facade on top of this pair
 // for one-shot factor-and-solve call sites.
@@ -66,20 +69,20 @@ enum class batch_kernel {
 /// facade (which forwards it verbatim), so the ordering knob is defined
 /// exactly once.
 struct lu_options {
-    /// Diagonal entries within pivot_tol of the column maximum are
-    /// preferred, preserving MNA structure and limiting fill-in.
-    double pivot_tol = 0.1;
     /// Fill-reducing column pre-ordering.
     column_ordering ordering = column_ordering::amd_approx;
-    /// Supernode partition shape for the blocked numeric path: width cap
-    /// of a dense panel, and the relaxed-amalgamation padding bounds
-    /// (see detect_supernodes; 0 / 0.0 keeps the strict partition). The
-    /// partition only affects how the blocked path groups its work —
-    /// factors and solves are identical under any setting.
-    std::size_t sn_max_width = 32;
-    std::size_t sn_relax_zeros = 12;
-    double sn_relax_fill = 0.25;
 };
+
+/// Threshold partial pivoting prefers a structural diagonal within this
+/// fraction of its column's largest candidate (MNA structure, less
+/// fill). The supernode partition takes detect_supernodes' default shape.
+inline constexpr double pivot_tol = 0.1;
+
+/// numeric_lu::factor's guard: element growth above which it probes the
+/// factors (fresh pivoting bounds the L side by 1/pivot_tol = 10), and
+/// the probe's backward error above which it re-pivots.
+inline constexpr double refactor_growth_limit = 1e4;
+inline constexpr double refactor_guard_tol = 1e-10;
 
 /// Immutable symbolic factorization: pivot order, column ordering and the
 /// L/U sparsity patterns (full symbolic reach, so any matrix with the seed
@@ -102,14 +105,16 @@ public:
 
     explicit symbolic_lu(const csc_matrix<T>& a, options opt = {},
                          factor_values* values_out = nullptr)
-        : n_(a.cols())
+        : n_(a.cols()), ordering_(opt.ordering)
     {
         if (a.rows() != n_)
             throw numeric_error("symbolic_lu: matrix must be square");
-        analyze(a, opt, values_out);
+        analyze(a, values_out);
     }
 
     [[nodiscard]] std::size_t size() const noexcept { return n_; }
+    /// The column pre-ordering this analysis ran with.
+    [[nodiscard]] column_ordering ordering() const noexcept { return ordering_; }
     /// Stored L entries plus the implicit unit diagonal.
     [[nodiscard]] std::size_t lower_nnz() const noexcept { return lrow_.size() + n_; }
     [[nodiscard]] std::size_t upper_nnz() const noexcept { return urow_.size(); }
@@ -129,12 +134,12 @@ public:
     [[nodiscard]] const supernode_partition& supernodes() const noexcept { return sn_; }
 
 private:
-    void analyze(const csc_matrix<T>& a, const options& opt, factor_values* values_out)
+    void analyze(const csc_matrix<T>& a, factor_values* values_out)
     {
         constexpr std::ptrdiff_t unset = -1;
         q_.resize(n_);
         std::iota(q_.begin(), q_.end(), std::size_t{0});
-        if (opt.ordering == column_ordering::amd_approx)
+        if (ordering_ == column_ordering::amd_approx)
             q_ = approx_minimum_degree_order(n_, a.col_ptr(), a.row_idx());
 
         std::vector<std::ptrdiff_t> pinv(n_, unset);
@@ -227,7 +232,7 @@ private:
             if (ipiv == unset || best == 0.0)
                 throw numeric_error("symbolic_lu: singular matrix at column "
                                     + std::to_string(col));
-            if (pinv[col] == unset && std::abs(x[col]) >= opt.pivot_tol * best)
+            if (pinv[col] == unset && std::abs(x[col]) >= pivot_tol * best)
                 ipiv = static_cast<std::ptrdiff_t>(col);
             const T pivot = x[static_cast<std::size_t>(ipiv)];
 
@@ -287,11 +292,11 @@ private:
 
         // The L rows are in pivot space now, which is what the supernode
         // nesting rule is defined over.
-        sn_ = detect_supernodes(n_, lcol_ptr_, lrow_, opt.sn_max_width,
-                                opt.sn_relax_zeros, opt.sn_relax_fill);
+        sn_ = detect_supernodes(n_, lcol_ptr_, lrow_);
     }
 
     std::size_t n_ = 0;
+    column_ordering ordering_ = column_ordering::amd_approx;
     std::vector<std::size_t> lcol_ptr_, lrow_;
     std::vector<std::size_t> ucol_ptr_, urow_;
     std::vector<std::size_t> pinv_;
@@ -301,14 +306,16 @@ private:
 
 /// Per-worker numeric factorization bound to a shared symbolic_lu. Holds
 /// only L/U values plus O(n) scratch; refactor(), solve_in_place() and
-/// solve_batch() never allocate. One instance is NOT thread-safe (shared
-/// scratch); the symbolic object it points at is.
+/// solve_batch() never allocate, and neither does factor() unless it
+/// re-pivots. One instance is NOT thread-safe (shared scratch); the
+/// symbolic object it points at is.
 template <class T>
 class numeric_lu {
 public:
     explicit numeric_lu(std::shared_ptr<const symbolic_lu<T>> sym)
         : sym_(std::move(sym)), lval_(sym_->lrow().size()), uval_(sym_->urow().size()),
-          work_(sym_->size(), T{}), scratch_(sym_->size())
+          work_(sym_->size(), T{}), scratch_(sym_->size()), probe_x_(sym_->size()),
+          probe_r_(sym_->size())
     {
     }
 
@@ -318,7 +325,8 @@ public:
     numeric_lu(std::shared_ptr<const symbolic_lu<T>> sym,
                typename symbolic_lu<T>::factor_values&& seed)
         : sym_(std::move(sym)), lval_(std::move(seed.lval)), uval_(std::move(seed.uval)),
-          work_(sym_->size(), T{}), scratch_(sym_->size())
+          work_(sym_->size(), T{}), scratch_(sym_->size()), probe_x_(sym_->size()),
+          probe_r_(sym_->size())
     {
         if (lval_.size() != sym_->lrow().size() || uval_.size() != sym_->urow().size())
             throw numeric_error("numeric_lu: seed values do not match the symbolic pattern");
@@ -350,7 +358,69 @@ public:
         growth_ = std::max(max_l1(lval_), amax > 0.0 ? max_l1(uval_) / amax : 0.0);
     }
 
+    /// What factor() did besides refactoring under the held order.
+    struct factor_result {
+        bool probed = false;    ///< the growth witness tripped and the probe ran
+        bool repivoted = false; ///< a fresh pivot order was built from the matrix
+    };
+
+    /// The guarded refactorization every reused-order caller goes
+    /// through: refactor under the held pivot order, and re-pivot from a's
+    /// own values when that order is stale — an exact zero pivot, or
+    /// growth above refactor_growth_limit confirmed by the all-ones probe.
+    /// A re-pivot analyses a under the same column ordering and refactors
+    /// (seed values are not adopted, so it equals a first build); the
+    /// instance keeps the new order, batch kernel and supernodal mode.
+    /// Throws numeric_error only when a is singular under a fresh order.
+    factor_result factor(const csc_matrix<T>& a)
+    {
+        if (a.rows() != size() || a.cols() != size())
+            throw numeric_error("numeric_lu: factor size mismatch");
+        factor_result res;
+        try {
+            refactor(a);
+            if (!(growth_ > refactor_growth_limit))
+                return res;
+            res.probed = true;
+            if (!(probe_backward_error(a) > refactor_guard_tol))
+                return res;
+        } catch (const numeric_error&) {
+            // Exact zero pivot under the held order.
+        }
+        sym_ = std::make_shared<const symbolic_lu<T>>(a, lu_options{sym_->ordering()});
+        lval_.assign(sym_->lrow().size(), T{});
+        uval_.assign(sym_->urow().size(), T{});
+        if (snmode_)
+            init_supernodal();
+        else
+            panels_.clear(); // a later set_supernodal(true) rebuilds them
+        refactor(a);
+        res.repivoted = true;
+        return res;
+    }
+
 private:
+    /// Normwise backward error ||A x - 1||_inf / (||A||_max ||x||_inf + 1)
+    /// of the factors on the all-ones right-hand side, which excites every
+    /// column; the scaling keeps the threshold meaningful for badly scaled
+    /// circuits. One solve and one SpMV on the instance's own scratch.
+    [[nodiscard]] double probe_backward_error(const csc_matrix<T>& a)
+    {
+        std::fill(probe_x_.begin(), probe_x_.end(), T{1.0});
+        solve_in_place(probe_x_.data());
+        a.multiply_into(probe_x_.data(), probe_r_.data());
+        double residual = 0.0;
+        double xmax = 0.0;
+        for (std::size_t i = 0; i < probe_r_.size(); ++i) {
+            residual = std::max(residual, std::abs(probe_r_[i] - T{1.0}));
+            xmax = std::max(xmax, std::abs(probe_x_[i]));
+        }
+        double amax = 0.0;
+        for (const T& v : a.values())
+            amax = std::max(amax, std::abs(v));
+        return residual / (amax * xmax + 1.0);
+    }
+
     void refactor_column(const csc_matrix<T>& a)
     {
         const std::size_t n = sym_->size();
@@ -829,9 +899,8 @@ public:
     /// factor max|U| / max|A|. Fresh threshold pivoting bounds the L side
     /// by 1/pivot_tol and keeps the U side modest; a reused pivot order
     /// that has gone stale lets either blow up, so this is the free
-    /// staleness witness the sweep engine's guard reads before deciding
-    /// whether a residual check (and possibly a fresh factorization) is
-    /// warranted.
+    /// staleness witness factor() reads before deciding whether a probe
+    /// (and possibly a fresh pivot order) is warranted.
     [[nodiscard]] double growth() const noexcept { return growth_; }
 
     /// Select the batched back-solve kernel (default scalar). The SIMD
@@ -1444,6 +1513,8 @@ private:
     std::vector<T> uval_;
     std::vector<T> work_;    ///< refactor accumulator (pivot space)
     std::vector<T> scratch_; ///< permutation staging for batched solves
+    std::vector<T> probe_x_; ///< factor(): probe solution
+    std::vector<T> probe_r_; ///< factor(): probe SpMV
     batch_kernel kernel_ = batch_kernel::scalar;
     std::vector<double> plane_re_; ///< SIMD kernel: real lanes, grown lazily
     std::vector<double> plane_im_; ///< SIMD kernel: imaginary lanes

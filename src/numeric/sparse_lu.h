@@ -1,12 +1,15 @@
 // One-object facade over the symbolic/numeric sparse LU split
-// (sparse_factor.h): factor-and-solve for call sites that do not share a
-// symbolic factorization across workers (DC/transient solves, one-shot
-// AC points). The sweep engine uses symbolic_lu + numeric_lu directly.
+// (sparse_factor.h): factor-and-solve for call sites that solve one
+// matrix once (spice::factored_system and solve_system, behind the
+// one-shot Newton oracle and the re-stamp reference sweep). Loops that
+// reuse a pivot order — the sweep engine, DC and transient Newton solves
+// (spice::newton_solver) and the pole search — hold symbolic_lu +
+// numeric_lu directly and refactor through numeric_lu::factor.
 //
-// This is the production solver for MNA systems: each column's sparse
-// triangular solve only touches the symbolic reach set, so ladder-like
-// circuit matrices factor in near-linear time. The dense lu.h path remains
-// as the reference implementation (ablation A2 compares the two).
+// Each column's sparse triangular solve only touches the symbolic reach
+// set, so ladder-like circuit matrices factor in near-linear time. The
+// dense lu.h path remains as the reference implementation (ablation A2
+// compares the two).
 #ifndef ACSTAB_NUMERIC_SPARSE_LU_H
 #define ACSTAB_NUMERIC_SPARSE_LU_H
 
@@ -23,10 +26,10 @@ namespace acstab::numeric {
 template <class T>
 class sparse_lu {
 public:
-    /// The shared lu_options (pivot_tol + column_ordering) plus the
-    /// facade's own refactor guard — the slice the symbolic analysis
-    /// consumes is forwarded verbatim, so the ordering enum is defined
-    /// exactly once (in sparse_factor.h).
+    /// The shared lu_options (the column ordering) plus the facade's own
+    /// refactor switch — the slice the symbolic analysis consumes is
+    /// forwarded verbatim, so the ordering enum is defined exactly once
+    /// (in sparse_factor.h).
     struct options : lu_options {
         /// Allow refactor() calls for matrices with the same structure
         /// but different values. (The pattern is always symbolic since

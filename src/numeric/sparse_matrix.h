@@ -129,8 +129,8 @@ public:
         return y;
     }
 
-    /// y = A x into a caller-owned buffer (the sweep engine's residual
-    /// guard runs one SpMV per frequency and must not allocate).
+    /// y = A x into a caller-owned buffer (the adaptive driver's backward-
+    /// error checks run one SpMV per candidate and must not allocate).
     void multiply_into(const std::vector<T>& x, std::vector<T>& y) const
     {
         if (x.size() != cols_ || y.size() != rows_)

@@ -20,9 +20,10 @@ namespace acstab::spice {
 
 enum class solver_kind { dense, sparse };
 
-/// A factored MNA matrix reusable across many right-hand sides (the
-/// all-nodes stability sweep factors once per frequency and back-solves
-/// once per node).
+/// A factored MNA matrix reusable across many right-hand sides. The
+/// all-nodes sweep itself runs through engine::sweep_engine; this is the
+/// one-shot form that the re-stamp reference paths of the tests and the
+/// ablation bench factor once per frequency and back-solve per node.
 template <class T>
 class factored_system {
 public:

@@ -10,10 +10,7 @@
 
 namespace acstab::spice {
 
-newton_solver::newton_solver(std::size_t n, const newton_solver_options& opt)
-    : n_(n), opt_(opt), builder_(n), resid_(n, 0.0)
-{
-}
+newton_solver::newton_solver(std::size_t n) : n_(n), builder_(n) {}
 
 system_builder<real>& newton_solver::begin_stamp()
 {
@@ -79,19 +76,12 @@ void newton_solver::rebuild_pattern()
     csc_ = numeric::csc_matrix<real>(n_, n_, std::move(col_ptr), std::move(row_idx),
                                      std::vector<real>(slots, 0.0));
     deposit();
-    rebuild_symbolic();
-    has_pattern_ = true;
-}
-
-void newton_solver::rebuild_symbolic()
-{
-    numeric::lu_options lu;
-    lu.pivot_tol = opt_.pivot_tol;
-    sym_ = std::make_shared<const numeric::symbolic_lu<real>>(csc_, lu);
-    num_ = std::make_unique<numeric::numeric_lu<real>>(sym_);
+    num_ = std::make_unique<numeric::numeric_lu<real>>(
+        std::make_shared<const numeric::symbolic_lu<real>>(csc_));
     num_->set_supernodal(true);
     num_->refactor(csc_);
     ++stats_.symbolic_builds;
+    has_pattern_ = true;
 }
 
 void newton_solver::deposit()
@@ -101,21 +91,6 @@ void newton_solver::deposit()
     std::fill(values.begin(), values.end(), 0.0);
     for (std::size_t k = 0; k < entries.size(); ++k)
         values[slot_[k]] += entries[k].value;
-}
-
-real newton_solver::residual_rel(const std::vector<real>& x)
-{
-    csc_.multiply_into(x.data(), resid_.data());
-    const auto& rhs = builder_.rhs();
-    real num = 0.0;
-    real den = 0.0;
-    for (std::size_t i = 0; i < n_; ++i) {
-        num = std::max(num, std::fabs(resid_[i] - rhs[i]));
-        den = std::max(den, std::fabs(rhs[i]));
-    }
-    if (den == 0.0)
-        den = 1.0;
-    return num / den;
 }
 
 std::vector<real> newton_solver::solve()
@@ -129,28 +104,17 @@ std::vector<real> newton_solver::solve()
         rebuild_pattern();
     } else {
         deposit();
-        try {
-            num_->refactor(csc_);
-        } catch (const numeric_error&) {
-            // Zero pivot under the reused order: re-pivot once before
-            // declaring the step singular.
+        const auto guard = num_->factor(csc_);
+        if (guard.probed)
+            ++stats_.guard_probes;
+        if (guard.repivoted) {
             ++stats_.guard_rebuilds;
-            rebuild_symbolic();
+            ++stats_.symbolic_builds;
         }
     }
 
     std::vector<real> x = builder_.rhs();
     num_->solve_in_place(x.data());
-
-    if (num_->growth() > opt_.growth_limit) {
-        ++stats_.guard_probes;
-        if (residual_rel(x) > opt_.residual_tol) {
-            ++stats_.guard_rebuilds;
-            rebuild_symbolic();
-            x = builder_.rhs();
-            num_->solve_in_place(x.data());
-        }
-    }
     return x;
 }
 

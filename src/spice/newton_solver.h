@@ -34,12 +34,11 @@
 // pattern, slot map and symbolic factorization are rebuilt and the run
 // continues.
 //
-// Numeric safety is a two-tier guard. The refactorization's
-// element growth is a free witness; when it exceeds growth_limit a
-// single SpMV residual probe checks the solution against the assembled
-// matrix, and a failed probe re-pivots (fresh symbolic analysis on the
-// current values) and re-solves. A zero pivot during refactorization
-// triggers the same re-pivot before the step is declared singular.
+// Numeric safety is numeric_lu::factor's guard, the one every reused
+// pivot order goes through: a zero pivot, or element growth confirmed by
+// its all-ones probe, re-pivots from the current values before the step
+// is declared singular. An order built fresh for a new stamp pattern
+// chose its pivots from those very values and is not probed.
 #ifndef ACSTAB_SPICE_NEWTON_SOLVER_H
 #define ACSTAB_SPICE_NEWTON_SOLVER_H
 
@@ -56,31 +55,21 @@
 
 namespace acstab::spice {
 
-/// Guard thresholds of the shared path. The symbolic analysis always
-/// runs the default approximate-minimum-degree ordering and the numeric
-/// refactorization the blocked/supernodal path.
-struct newton_solver_options {
-    /// Threshold-pivoting tolerance of the symbolic analysis.
-    double pivot_tol = 0.1;
-    /// Element growth above which the residual probe runs.
-    real growth_limit = 1e4;
-    /// Relative residual above which the reused pivot order is declared
-    /// stale and the symbolic factorization is rebuilt.
-    real residual_tol = 1e-10;
-};
-
 /// Counters for --solver-stats and the equivalence/regression tests.
 struct newton_solver_stats {
     std::size_t solves = 0;           ///< Newton solves served
     std::size_t symbolic_builds = 0;  ///< symbolic analyses run (1 in the steady state)
     std::size_t pattern_rebuilds = 0; ///< stamp-sequence changes observed
-    std::size_t guard_probes = 0;     ///< growth witness tripped, residual probed
+    std::size_t guard_probes = 0;     ///< growth witness tripped, factors probed
     std::size_t guard_rebuilds = 0;   ///< stale pivots / zero pivots that re-pivoted
 };
 
+/// The shared-symbolic solver. Its symbolic analysis runs the default
+/// approximate-minimum-degree ordering and its numeric refactorization
+/// the blocked/supernodal path.
 class newton_solver {
 public:
-    explicit newton_solver(std::size_t n, const newton_solver_options& opt = {});
+    explicit newton_solver(std::size_t n);
 
     /// Builder for the next stamp pass, with matrix, RHS and limiter
     /// count cleared. The triplet capacity and the CSC pattern behind it
@@ -88,9 +77,9 @@ public:
     [[nodiscard]] system_builder<real>& begin_stamp();
 
     /// Deposit the stamped values into the fixed CSC pattern, refactor
-    /// against the shared symbolic object and solve for the stamped RHS.
-    /// Throws numeric_error when the system is singular even under a
-    /// fresh pivot order.
+    /// under the held pivot order (numeric_lu::factor) and solve for the
+    /// stamped RHS. Throws numeric_error when the system is singular even
+    /// under a fresh pivot order.
     [[nodiscard]] std::vector<real> solve();
 
     [[nodiscard]] const newton_solver_stats& stats() const noexcept { return stats_; }
@@ -99,18 +88,12 @@ private:
     /// True when the current stamp sequence matches the recorded one.
     [[nodiscard]] bool pattern_matches() const noexcept;
     /// Rebuild CSC pattern + slot map from the current triplet entries,
-    /// then re-run the symbolic analysis.
+    /// then run a fresh symbolic analysis on them and refactor.
     void rebuild_pattern();
-    /// Re-run the symbolic analysis on the current CSC values (fresh
-    /// pivot order) and refactor.
-    void rebuild_symbolic();
     /// Scatter triplet values into the CSC value array via the slot map.
     void deposit();
-    /// Relative residual ||Ax - b||_inf / ||b||_inf of a candidate x.
-    [[nodiscard]] real residual_rel(const std::vector<real>& x);
 
     std::size_t n_;
-    newton_solver_options opt_;
     system_builder<real> builder_;
 
     // Fixed CSC pattern and the stamp-sequence slot map over it.
@@ -120,9 +103,7 @@ private:
     std::vector<std::size_t> entry_row_; ///< recorded stamp sequence
     std::vector<std::size_t> entry_col_;
 
-    std::shared_ptr<const numeric::symbolic_lu<real>> sym_;
     std::unique_ptr<numeric::numeric_lu<real>> num_;
-    std::vector<real> resid_; ///< SpMV probe scratch
 
     newton_solver_stats stats_;
 };

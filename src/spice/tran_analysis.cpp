@@ -1,6 +1,7 @@
 #include "spice/tran_analysis.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 
 namespace acstab::spice {
@@ -38,11 +39,26 @@ std::vector<real> tran_result::unknown_waveform(std::size_t index) const
     return out;
 }
 
+void check_tran_window(const std::string& who, real tstop, real dt)
+{
+    if (!(tstop > 0.0))
+        throw analysis_error(who + ": tstop must be positive");
+    if (!(dt >= 0.0))
+        throw analysis_error(who + ": dt = " + format_value(dt) + " s is negative");
+    if (dt > 0.0 && !(tstop / dt <= max_tran_steps)) {
+        char steps[32];
+        std::snprintf(steps, sizeof steps, "%.3g", tstop / dt);
+        throw analysis_error(who + ": tstop = " + format_value(tstop) + " s at dt = "
+                             + format_value(dt) + " s is " + steps
+                             + " steps, above the limit of "
+                             + std::to_string(static_cast<long>(max_tran_steps)));
+    }
+}
+
 tran_result transient(circuit& c, const tran_options& opt)
 {
     c.finalize();
-    if (!(opt.tstop > 0.0))
-        throw analysis_error("transient: tstop must be positive");
+    check_tran_window("transient", opt.tstop, opt.dt);
     const real dt_nominal = opt.dt > 0.0 ? opt.dt : opt.tstop / 1000.0;
     const real dt_min = dt_nominal * opt.dtmin_factor;
 

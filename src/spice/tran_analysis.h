@@ -61,6 +61,16 @@ struct tran_result {
     [[nodiscard]] std::vector<real> unknown_waveform(std::size_t index) const;
 };
 
+/// Most nominal steps (tstop / dt) one transient run may plan. Every
+/// step stores a solution vector, so a window far beyond this outgrows
+/// memory long before it ends.
+inline constexpr real max_tran_steps = 1e6;
+
+/// Refuse a time window no transient run should start: tstop must be
+/// positive, dt non-negative (0 selects a default step) and tstop / dt
+/// at most max_tran_steps. Errors are prefixed with `who`.
+void check_tran_window(const std::string& who, real tstop, real dt);
+
 /// Run a transient analysis starting from the DC operating point.
 [[nodiscard]] tran_result transient(circuit& c, const tran_options& opt);
 

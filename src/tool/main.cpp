@@ -493,7 +493,6 @@ int cmd_farm_plan(const std::string& netlist_path, const cli_options& opt)
             spec.points_per_decade = card.points_per_decade;
         break;
     }
-    farm::check_sweep(spec);
     if (spec.node.empty())
         throw analysis_error("farm plan: no watched node (pass --node or add a "
                              "'.stability <node>' card)");
@@ -534,6 +533,7 @@ int cmd_farm_plan(const std::string& netlist_path, const cli_options& opt)
                                      + "' is not a voltage or current source");
         }
     }
+    farm::check_sweep(spec);
 
     // Grid: netlist .temp/.corner campaign cards seed the axes; explicit
     // flags replace them axis by axis. --param axes are flag-only.

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "core/analyzer.h"
 #include "core/param_grid.h"
 #include "core/tran_stability.h"
@@ -68,6 +69,20 @@ TEST(farm_transient, plan_round_trips_and_keeps_other_plans_stable)
     const std::string stab_bytes = farm::to_json(stab).dump();
     EXPECT_EQ(stab_bytes.find("analysis"), std::string::npos);
     EXPECT_EQ(stab_bytes.find("transient"), std::string::npos);
+}
+
+TEST(farm_transient, plan_with_unbounded_step_count_is_refused)
+{
+    // tstop / dt = 1.3e25 nominal steps: every worker would run each
+    // point until its timeout, so the plan is refused at admission.
+    farm::campaign_spec spec = loop_campaign();
+    spec.tran_dt = 1e-30;
+    EXPECT_THROW((void)farm::campaign_from_json(farm::to_json(spec)), analysis_error);
+    spec.tran_dt = -1.0;
+    EXPECT_THROW((void)farm::campaign_from_json(farm::to_json(spec)), analysis_error);
+    spec.tran_dt = 0.0;
+    spec.tran_tstop = 0.0;
+    EXPECT_THROW((void)farm::campaign_from_json(farm::to_json(spec)), analysis_error);
 }
 
 TEST(farm_transient, record_round_trips_byte_exactly)

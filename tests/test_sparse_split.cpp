@@ -1,22 +1,19 @@
 // The symbolic/numeric sparse-LU split behind the sweep engine:
-// solve_batch must match repeated single solves bit for bit, the
-// shared-symbolic engine path must match the per-chunk path (serial and
-// threaded), and a zero pivot under a reused pivot order must leave the
-// shared symbolic object intact while the fresh-factor fallback recovers.
+// solve_batch must match repeated single solves bit for bit, a zero pivot
+// under a reused pivot order must leave the shared symbolic object
+// intact, and numeric_lu::factor must re-pivot a stale order (zero pivot,
+// or growth confirmed by its probe) and keep the new one.
 // Runs under the ASan/UBSan CI job like every other test.
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstddef>
 #include <memory>
-#include <span>
 #include <vector>
 
-#include "circuits/opamp.h"
 #include "circuits/rlc.h"
 #include "common/error.h"
 #include "engine/linearized_snapshot.h"
-#include "engine/sweep_engine.h"
-#include "numeric/interpolation.h"
 #include "numeric/sparse_factor.h"
 #include "numeric/sparse_lu.h"
 #include "spice/dc_analysis.h"
@@ -96,98 +93,13 @@ TEST(sparse_split, solve_in_place_matches_allocating_solve)
     }
 }
 
-// --- shared symbolic vs per-chunk engine paths ------------------------------
-
-std::vector<std::vector<cplx>> run_allnodes(const engine::linearized_snapshot& snap,
-                                            const std::vector<real>& freqs, std::size_t threads,
-                                            bool shared_symbolic, std::size_t rhs_block,
-                                            engine::solver_tuning tuning = {})
-{
-    std::vector<engine::sweep_engine::injection> injections;
-    for (std::size_t k = 0; k < snap.node_count(); ++k)
-        injections.push_back({k, cplx{1.0, 0.0}});
-    engine::sweep_engine_options eopt;
-    eopt.threads = threads;
-    eopt.shared_symbolic = shared_symbolic;
-    eopt.rhs_block = rhs_block;
-    eopt.tuning = tuning;
-    std::vector<std::vector<cplx>> sol(freqs.size() * injections.size());
-    engine::sweep_engine(eopt).run_injections(
-        snap, freqs, injections,
-        [&sol, &injections](std::size_t fi, std::size_t ri, std::span<const cplx> s) {
-            sol[fi * injections.size() + ri].assign(s.begin(), s.end());
-        });
-    return sol;
-}
-
-real max_rel_err(const std::vector<std::vector<cplx>>& a, const std::vector<std::vector<cplx>>& b)
-{
-    EXPECT_EQ(a.size(), b.size());
-    real worst = 0.0;
-    for (std::size_t k = 0; k < a.size(); ++k) {
-        real norm = 1e-30;
-        for (const cplx& v : a[k])
-            norm = std::max(norm, std::abs(v));
-        for (std::size_t i = 0; i < a[k].size(); ++i)
-            worst = std::max(worst, std::abs(a[k][i] - b[k][i]) / norm);
-    }
-    return worst;
-}
-
-TEST(sparse_split, shared_symbolic_matches_per_chunk_factorization)
-{
-    spice::circuit c;
-    (void)circuits::build_opamp_buffer(c);
-    const spice::dc_result op = spice::dc_operating_point(c);
-    engine::snapshot_options sopt;
-    sopt.zero_all_sources = true;
-    sopt.gshunt = 1e-9;
-    const engine::linearized_snapshot snap(c, op.solution, sopt);
-    const std::vector<real> freqs = numeric::log_space(1e3, 1e9, 120);
-
-    const auto per_chunk = run_allnodes(snap, freqs, 1, /*shared=*/false, 32);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        const auto shared = run_allnodes(snap, freqs, threads, /*shared=*/true, 32);
-        EXPECT_LT(max_rel_err(per_chunk, shared), 1e-7) << threads << " threads";
-    }
-    // The per-chunk path itself must also agree with its threaded self.
-    const auto per_chunk4 = run_allnodes(snap, freqs, 4, /*shared=*/false, 32);
-    EXPECT_LT(max_rel_err(per_chunk, per_chunk4), 1e-7);
-}
-
-TEST(sparse_split, rhs_block_size_does_not_change_results)
-{
-    spice::circuit c;
-    (void)circuits::build_opamp_buffer(c);
-    const spice::dc_result op = spice::dc_operating_point(c);
-    engine::snapshot_options sopt;
-    sopt.zero_all_sources = true;
-    const engine::linearized_snapshot snap(c, op.solution, sopt);
-    const std::vector<real> freqs = numeric::log_space(1e4, 1e8, 60);
-
-    // Under the default (SIMD) kernel the batch shape may legally change
-    // rounding, so block sizes must agree to tolerance, not bytes.
-    const auto batched = run_allnodes(snap, freqs, 1, true, 32);
-    const auto unbatched = run_allnodes(snap, freqs, 1, true, 1);
-    EXPECT_LT(max_rel_err(batched, unbatched), 1e-12);
-
-    // The scalar kernel is one column at a time regardless of blocking:
-    // there the block size must not change a single bit.
-    engine::solver_tuning scalar;
-    scalar.simd = false;
-    const auto sc_batched = run_allnodes(snap, freqs, 1, true, 32, scalar);
-    const auto sc_unbatched = run_allnodes(snap, freqs, 1, true, 1, scalar);
-    ASSERT_EQ(sc_batched.size(), sc_unbatched.size());
-    for (std::size_t k = 0; k < sc_batched.size(); ++k)
-        EXPECT_EQ(sc_batched[k], sc_unbatched[k]) << k; // bit-identical per column
-}
-
 // --- zero-pivot fallback with a shared symbolic object ----------------------
 
-numeric::csc_matrix<cplx> two_by_two(cplx a00, cplx a01, cplx a10, cplx a11)
+template <class T>
+numeric::csc_matrix<T> two_by_two(T a00, T a01, T a10, T a11)
 {
     // Fixed full pattern so every variant shares the symbolic structure.
-    return numeric::csc_matrix<cplx>(2, 2, {0, 2, 4}, {0, 1, 0, 1}, {a00, a10, a01, a11});
+    return numeric::csc_matrix<T>(2, 2, {0, 2, 4}, {0, 1, 0, 1}, {a00, a10, a01, a11});
 }
 
 TEST(sparse_split, zero_pivot_fallback_with_shared_symbolic)
@@ -205,13 +117,13 @@ TEST(sparse_split, zero_pivot_fallback_with_shared_symbolic)
     EXPECT_NEAR(std::abs(x1[1] - cplx{1.0, 0.0}), 0.0, 1e-12);
 
     // Same pattern, but A(0,0) = 0: nonsingular, yet an exact zero pivot
-    // under the reused order — the chunk_solver fallback scenario.
+    // under the reused order — the scenario numeric_lu::factor re-pivots.
     const numeric::csc_matrix<cplx> a2
         = two_by_two(cplx{}, cplx{1.0, 0.0}, cplx{1.0, 0.0}, cplx{1.0, 0.0});
     EXPECT_THROW(worker.refactor(a2), numeric_error);
 
-    // Fresh-factor path: re-pivot from the current values with a new local
-    // symbolic object, exactly what the engine does on fallback.
+    // Re-pivot from the current values with a new local symbolic object,
+    // as numeric_lu::factor does.
     const auto local = std::make_shared<const numeric::symbolic_lu<cplx>>(a2);
     numeric::numeric_lu<cplx> fresh(local);
     fresh.refactor(a2);
@@ -227,6 +139,83 @@ TEST(sparse_split, zero_pivot_fallback_with_shared_symbolic)
     numeric::numeric_lu<cplx> other(shared);
     other.refactor(a1);
     EXPECT_EQ(other.solve({cplx{3.0, 0.0}, cplx{2.0, 0.0}}), x1);
+}
+
+// --- numeric_lu::factor: the guarded refactorization ----------------------
+
+template <class T>
+void expect_factor_repivots_stale_orders()
+{
+    // Seed [[2,1],[1,1]]: the order takes the structural diagonal.
+    const auto seed = two_by_two<T>(T{2.0}, T{1.0}, T{1.0}, T{1.0});
+    const auto sym = std::make_shared<const numeric::symbolic_lu<T>>(seed);
+    const std::vector<std::size_t> seed_pinv = sym->pinv();
+    const std::vector<T> ones{T{1.0}, T{1.0}};
+
+    numeric::numeric_lu<T> lu(sym);
+    lu.set_batch_kernel(numeric::batch_kernel::simd);
+    lu.set_supernodal(true);
+    auto res = lu.factor(seed);
+    EXPECT_FALSE(res.probed);
+    EXPECT_FALSE(res.repivoted);
+
+    // [[1e-13,1],[1,3]] under the seed's order pivots on 1e-13: growth
+    // 1e13, and a raw refactorization loses four digits of x0.
+    const auto stale = two_by_two<T>(T{1e-13}, T{1.0}, T{1.0}, T{3.0});
+    numeric::numeric_lu<T> raw(sym);
+    raw.refactor(stale);
+    EXPECT_GT(raw.growth(), 1e12);
+    EXPECT_GT(std::abs(raw.solve(ones)[0] - T{-2.0}), 1e-4);
+
+    res = lu.factor(stale);
+    EXPECT_TRUE(res.probed);
+    EXPECT_TRUE(res.repivoted);
+    const numeric::sparse_lu<T> fresh(stale);
+    const std::vector<T> ref = fresh.solve(ones);
+    const std::vector<T> x = lu.solve(ones);
+    for (std::size_t i = 0; i < 2; ++i)
+        EXPECT_LT(std::abs(x[i] - ref[i]), 1e-12) << i;
+    EXPECT_NEAR(std::real(x[0]), -2.0000000000006, 1e-12);
+
+    // The kernel and supernodal mode carried over, and a batch solve on
+    // the new order's panels agrees with the fresh factorization.
+    EXPECT_TRUE(lu.supernodal());
+    EXPECT_EQ(lu.kernel(), numeric::batch_kernel::simd);
+    const std::vector<T> twos{T{2.0}, T{2.0}};
+    const T* cols[] = {ones.data(), twos.data()};
+    std::vector<T> xb(4);
+    lu.solve_batch(cols, 2, xb.data());
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_LT(std::abs(xb[i] - ref[i]), 1e-12) << i;
+        EXPECT_LT(std::abs(xb[2 + i] - T{2.0} * ref[i]), 1e-12) << i;
+    }
+
+    // The instance keeps the new order: the same matrix needs no guard.
+    res = lu.factor(stale);
+    EXPECT_FALSE(res.probed);
+    EXPECT_FALSE(res.repivoted);
+
+    // An exact zero pivot under the seed's order re-pivots unprobed.
+    numeric::numeric_lu<T> zero(sym);
+    res = zero.factor(two_by_two<T>(T{}, T{1.0}, T{1.0}, T{1.0}));
+    EXPECT_FALSE(res.probed);
+    EXPECT_TRUE(res.repivoted);
+    const std::vector<T> xz = zero.solve({T{1.0}, T{2.0}});
+    EXPECT_LT(std::abs(xz[0] - T{1.0}), 1e-12);
+    EXPECT_LT(std::abs(xz[1] - T{1.0}), 1e-12);
+
+    // Re-pivoting replaced only the instances' orders, never the shared one.
+    EXPECT_EQ(sym->pinv(), seed_pinv);
+}
+
+TEST(sparse_split, factor_repivots_stale_order_complex)
+{
+    expect_factor_repivots_stale_orders<cplx>();
+}
+
+TEST(sparse_split, factor_repivots_stale_order_real)
+{
+    expect_factor_repivots_stale_orders<real>();
 }
 
 TEST(sparse_split, sparse_lu_facade_exposes_shared_symbolic)

@@ -1,7 +1,10 @@
 // Transient analysis against closed-form step responses.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cmath>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -12,6 +15,13 @@
 #include "spice/devices/sources.h"
 #include "spice/measure.h"
 #include "spice/tran_analysis.h"
+
+#ifndef ACSTAB_NETLIST_DIR
+#define ACSTAB_NETLIST_DIR "netlists"
+#endif
+#ifndef ACSTAB_TOOL_PATH
+#define ACSTAB_TOOL_PATH ""
+#endif
 
 namespace {
 
@@ -199,6 +209,50 @@ TEST(tran, rejects_bad_tstop)
     tran_options opt;
     opt.tstop = 0.0;
     EXPECT_THROW(transient(c, opt), analysis_error);
+}
+
+TEST(tran, rejects_negative_and_unbounded_steps)
+{
+    circuit c;
+    const node_id in = c.node("in");
+    c.add<vsource>("vin", in, ground_node, 1.0);
+    c.add<resistor>("r1", in, ground_node, 1e3);
+    tran_options opt;
+    opt.tstop = 1e-6;
+    opt.dt = -1.0;
+    EXPECT_THROW(transient(c, opt), analysis_error);
+    // 1e24 nominal steps: refused up front with the window in the message.
+    opt.dt = 1e-30;
+    try {
+        (void)transient(c, opt);
+        ADD_FAILURE() << "an unbounded step count was accepted";
+    } catch (const analysis_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("tstop = 1e-06 s"), std::string::npos) << what;
+        EXPECT_NE(what.find("dt = 1e-30 s"), std::string::npos) << what;
+        EXPECT_NE(what.find("1e+24 steps"), std::string::npos) << what;
+    }
+    // The limit itself is allowed (checked without running it).
+    EXPECT_NO_THROW(check_tran_window("transient", 1.0, 1.0 / max_tran_steps));
+}
+
+/// Exit status of `acstab tran` on rlc_tank with the given --dt (output
+/// discarded; a run that does not end within 30 s counts as failed).
+[[nodiscard]] int tran_cli_status(const std::string& dt)
+{
+    const std::string cmd = std::string("timeout 30 '") + ACSTAB_TOOL_PATH + "' tran '"
+        + ACSTAB_NETLIST_DIR + "/rlc_tank.sp' --node tank --tstop 1e-6 --dt " + dt
+        + " > /dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(tran, cli_refuses_negative_and_unbounded_steps)
+{
+    if (std::string(ACSTAB_TOOL_PATH).empty())
+        GTEST_SKIP() << "tool path not configured";
+    EXPECT_EQ(tran_cli_status("-1"), 1);
+    EXPECT_EQ(tran_cli_status("1e-30"), 1);
 }
 
 TEST(tran, waveform_spec_values)

@@ -14,6 +14,7 @@
 #include "spice/devices/diode.h"
 #include "spice/devices/passive.h"
 #include "spice/devices/sources.h"
+#include "spice/newton_solver.h"
 #include "spice/parser/netlist_parser.h"
 #include "spice/tran_analysis.h"
 
@@ -140,6 +141,31 @@ TEST(tran_solver, linear_circuit_factors_symbolically_once)
     EXPECT_EQ(res.solver.pattern_rebuilds, std::size_t{0});
     EXPECT_EQ(res.solver.guard_rebuilds, std::size_t{0});
     EXPECT_GE(res.solver.solves, res.time.size() - 1);
+}
+
+TEST(tran_solver, stale_pivot_order_repivots)
+{
+    // The first stamp fixes the pattern and a diagonal pivot order. The
+    // second, [[1e-13,1],[1,3]], pivots on 1e-13 under that order (growth
+    // 1e13, x0 off in the fourth digit): the guard must re-pivot.
+    newton_solver solver(2);
+    const auto stamp = [&solver](real a00, real a11) {
+        system_builder<real>& b = solver.begin_stamp();
+        b.add(0, 0, a00);
+        b.add(0, 1, 1.0);
+        b.add(1, 0, 1.0);
+        b.add(1, 1, a11);
+        b.rhs_add(0, 1.0);
+        b.rhs_add(1, 1.0);
+        return solver.solve();
+    };
+    (void)stamp(2.0, 3.0);
+    const std::vector<real> x = stamp(1e-13, 3.0);
+    EXPECT_EQ(solver.stats().guard_rebuilds, std::size_t{1});
+    EXPECT_EQ(solver.stats().symbolic_builds, std::size_t{2});
+    EXPECT_EQ(solver.stats().pattern_rebuilds, std::size_t{0});
+    EXPECT_NEAR(x[0], -2.0, 1e-11);
+    EXPECT_NEAR(x[1], 1.0, 1e-11);
 }
 
 TEST(tran_solver, nonconvergence_reports_step_ladder)

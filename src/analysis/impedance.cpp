@@ -46,13 +46,6 @@ namespace {
         return t == "vsource" || t == "isource";
     }
 
-    constexpr real same_freq_rtol = 1e-9;
-
-    [[nodiscard]] bool same_freq(real a, real b)
-    {
-        return std::fabs(a - b) <= same_freq_rtol * std::max(std::fabs(a), std::fabs(b));
-    }
-
 } // namespace
 
 impedance_partition partition_at_node(spice::circuit& c, const std::string& node,
@@ -179,55 +172,22 @@ impedance_result analyze_impedance(spice::circuit& c, const std::string& node,
     // side's driving-point impedance.
     const std::vector<engine::sweep_engine::injection> injections{{port, cplx{1.0, 0.0}}};
 
-    // A side's driving-point impedance on its output grid, plus the model
-    // that fills it in between solved points on the adaptive path.
-    struct side_sweep {
-        std::vector<cplx> z;
-        engine::channel_sweep sweep;
-    };
+    // One unit-current sweep per side. Both sides sweep the same grid (the
+    // adaptive driver's output grid is the fixed grid too), so their
+    // impedances pair up point for point.
     const std::vector<real> grid
         = numeric::log_grid(opt.fstart, opt.fstop, opt.points_per_decade);
     const engine::sweep_spec band{opt.fstart, opt.fstop, opt.points_per_decade};
-    const auto sweep_side = [&](const engine::linearized_snapshot& snap) {
-        side_sweep side;
-        side.sweep = engine::sweep_channels(
+    const auto sweep_side = [&](const engine::linearized_snapshot& snap, std::vector<cplx>& z) {
+        const engine::channel_sweep sw = engine::sweep_channels(
             snap, grid, band, injections, {{0, port}}, opt,
-            {[&side](const std::vector<real>& f) { side.z.resize(f.size()); },
-             [&side](std::size_t fi, std::size_t, cplx v) { side.z[fi] = v; }});
-        return side;
+            {[&z](const std::vector<real>& f) { z.resize(f.size()); },
+             [&z](std::size_t fi, std::size_t, cplx v) { z[fi] = v; }});
+        res.factorizations += sw.factorizations;
+        return sw.freq_hz;
     };
-    const side_sweep zs = sweep_side(snap_s);
-    const side_sweep zl = sweep_side(snap_l);
-    res.factorizations = zs.sweep.factorizations + zl.sweep.factorizations;
-
-    // Adaptive sides refine independently, so their output grids agree on
-    // the dense log grid but differ at solved extras: evaluate both on the
-    // union, exact where a side solved, model elsewhere. On the fixed grid
-    // both sides share every point, and the union is that grid.
-    std::vector<real> merged;
-    merged.reserve(zs.sweep.freq_hz.size() + zl.sweep.freq_hz.size());
-    std::merge(zs.sweep.freq_hz.begin(), zs.sweep.freq_hz.end(), zl.sweep.freq_hz.begin(),
-               zl.sweep.freq_hz.end(), std::back_inserter(merged));
-    res.freq_hz.reserve(merged.size());
-    for (const real f : merged)
-        if (res.freq_hz.empty() || !same_freq(res.freq_hz.back(), f))
-            res.freq_hz.push_back(f);
-
-    const auto side_values = [&](const side_sweep& side) {
-        const std::vector<real>& fs = side.sweep.freq_hz;
-        std::vector<cplx> out(res.freq_hz.size());
-        std::size_t i = 0;
-        for (std::size_t k = 0; k < res.freq_hz.size(); ++k) {
-            const real f = res.freq_hz[k];
-            while (i < fs.size() && fs[i] < f && !same_freq(fs[i], f))
-                ++i;
-            out[k] = i < fs.size() && same_freq(fs[i], f) ? side.z[i]
-                                                          : side.sweep.model.eval(0, f);
-        }
-        return out;
-    };
-    res.z_source = side_values(zs);
-    res.z_load = side_values(zl);
+    res.freq_hz = sweep_side(snap_s, res.z_source);
+    sweep_side(snap_l, res.z_load);
 
     // Minor-loop gain and the Nyquist-like verdicts.
     const std::size_t nf = res.freq_hz.size();

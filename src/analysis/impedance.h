@@ -14,11 +14,11 @@
 // operating point (a snapshot_options::device_filter keeps only one
 // side's stamps), and each side costs one batched unit-current RHS sweep
 // against its snapshot — the same machinery as the stability plot, two
-// more right-hand-side batches. The opt-in adaptive path sweeps each side
-// on its own adaptive grid (same backward-error acceptance contract) and
-// AAA-fits the impedance ratio; the fitted model's -1 level crossings are
-// reported as a low-order estimate of the closed-loop poles (Cooman et
-// al.'s model-free view).
+// more right-hand-side batches. The opt-in adaptive path runs each side
+// through the adaptive driver, whose output grid is the same fixed grid
+// for both, and AAA-fits the impedance ratio; the fitted model's -1 level
+// crossings are reported as a low-order estimate of the closed-loop poles
+// (Cooman et al.'s model-free view).
 #ifndef ACSTAB_ANALYSIS_IMPEDANCE_H
 #define ACSTAB_ANALYSIS_IMPEDANCE_H
 
@@ -34,8 +34,9 @@
 
 namespace acstab::analysis {
 
-/// With `adaptive` set, each side sweeps its own adaptive grid and the
-/// impedance ratio gets an AAA fit with closed-loop pole estimates.
+/// With `adaptive` set, each side runs the adaptive driver on the shared
+/// grid and the impedance ratio gets an AAA fit with closed-loop pole
+/// estimates.
 struct impedance_options : engine::sweep_config {
     real fstart = 1e3;
     real fstop = 1e9;

@@ -362,12 +362,9 @@ namespace {
                 // dominant directions.
                 for (int pass = 0; pass < 2; ++pass)
                     for (std::size_t i = 0; i <= j; ++i) {
-                        cplx d{};
-                        for (std::size_t k = 0; k < n_; ++k)
-                            d += std::conj(v[i][k]) * wv[k];
+                        const cplx d = projection(v[i], wv);
                         h(i, j) += d;
-                        for (std::size_t k = 0; k < n_; ++k)
-                            wv[k] -= d * v[i][k];
+                        subtract_projection(d, v[i], wv);
                     }
                 const real beta = norm2(wv);
                 m = j + 1;
@@ -595,6 +592,32 @@ std::vector<pole> impedance_zeros_at_node(spice::circuit& c, const std::vector<r
     // A nonzero shift keeps the solve regular when a zero sits at s = 0
     // (e.g. a series capacitor path).
     return pencil_roots(gr, cr, 1.0, opt);
+}
+
+cplx projection(const std::vector<cplx>& v, const std::vector<cplx>& w) noexcept
+{
+    real re = 0.0;
+    real im = 0.0;
+    for (std::size_t k = 0; k < v.size(); ++k) {
+        const real ar = v[k].real();
+        const real ai = v[k].imag();
+        const real br = w[k].real();
+        const real bi = w[k].imag();
+        re += ar * br + ai * bi;
+        im += ar * bi - ai * br;
+    }
+    return {re, im};
+}
+
+void subtract_projection(cplx d, const std::vector<cplx>& v, std::vector<cplx>& w) noexcept
+{
+    const real dr = d.real();
+    const real di = d.imag();
+    for (std::size_t k = 0; k < v.size(); ++k) {
+        const real ar = v[k].real();
+        const real ai = v[k].imag();
+        w[k] = {w[k].real() - (dr * ar - di * ai), w[k].imag() - (dr * ai + di * ar)};
+    }
 }
 
 bool is_right_half_plane(const pole& p) noexcept

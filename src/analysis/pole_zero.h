@@ -120,6 +120,15 @@ struct pole_search_result {
                                                         const std::string& node,
                                                         const pole_zero_options& opt = {});
 
+/// The sparse search's Gram-Schmidt kernels, written on the real and
+/// imaginary parts of equal-length vectors: the projection
+/// sum_k conj(v[k]) w[k], and the update w[k] -= d v[k]. Each rounds
+/// exactly like the std::complex expression it replaces, operation for
+/// operation, without std::complex's NaN-recovery branch, which acts only
+/// on products whose parts are both NaN.
+[[nodiscard]] cplx projection(const std::vector<cplx>& v, const std::vector<cplx>& w) noexcept;
+void subtract_projection(cplx d, const std::vector<cplx>& v, std::vector<cplx>& w) noexcept;
+
 /// True when the pole lies in the right half-plane, beyond a relative
 /// 1e-6 margin that keeps rounding on a marginal pole from flipping a
 /// stability verdict.

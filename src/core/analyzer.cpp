@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "core/second_order.h"
 #include "engine/linearized_snapshot.h"
@@ -147,16 +149,32 @@ stability_report stability_analyzer::analyze_all_nodes()
         report.nodes.push_back(make_node_result(name, grid, std::move(magnitude[k])));
     }
 
-    std::sort(report.nodes.begin(), report.nodes.end(),
-              [](const node_stability& a, const node_stability& b) {
-                  if (a.has_peak != b.has_peak)
-                      return a.has_peak;
-                  if (!a.has_peak)
-                      return a.node < b.node;
-                  if (a.dominant.freq_hz != b.dominant.freq_hz)
-                      return a.dominant.freq_hz < b.dominant.freq_hz;
-                  return a.node < b.node;
-              });
+    // Rows with a peak come first, ascending in natural frequency as the
+    // CSV prints it (6 significant digits) and then by name, so rows that
+    // print the same frequency are not ordered by last-bit noise. Rows
+    // without a peak follow by name.
+    std::vector<real> printed(report.nodes.size());
+    std::vector<std::size_t> order(report.nodes.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        char text[32];
+        std::snprintf(text, sizeof text, "%.6g", report.nodes[i].dominant.freq_hz);
+        printed[i] = std::strtod(text, nullptr);
+        order[i] = i;
+    }
+    std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
+        const node_stability& a = report.nodes[i];
+        const node_stability& b = report.nodes[j];
+        if (a.has_peak != b.has_peak)
+            return a.has_peak;
+        if (a.has_peak && printed[i] != printed[j])
+            return printed[i] < printed[j];
+        return a.node < b.node;
+    });
+    std::vector<node_stability> rows;
+    rows.reserve(order.size());
+    for (const std::size_t i : order)
+        rows.push_back(std::move(report.nodes[i]));
+    report.nodes = std::move(rows);
     report.loops = group_loops(report.nodes, opt_.group_rel_tol);
     return report;
 }

@@ -48,10 +48,9 @@ stability_plot compute_stability_plot(std::span<const real> freq_hz,
     stability_plot plot;
     // Coalesce near-duplicate frequencies before differentiating: the
     // curvature stencils divide by the squared spacing, so two samples a
-    // hair apart (an adaptive union grid's output point brushing a solved
-    // point) would turn last-ulp magnitude differences into huge spurious
-    // P excursions. Uniform sweeps are orders of magnitude coarser than
-    // the threshold and pass through untouched.
+    // hair apart would turn last-ulp magnitude differences into huge
+    // spurious P excursions. Uniform sweeps are orders of magnitude
+    // coarser than the threshold and pass through untouched.
     const real min_sep = opt.min_separation_decades * std::log(real{10.0});
     plot.freq_hz.reserve(freq_hz.size());
     plot.magnitude.reserve(freq_hz.size());

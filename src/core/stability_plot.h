@@ -46,12 +46,11 @@ struct plot_options {
     /// Minimum |P| for a peak to be reported.
     real min_peak = 0.05;
     /// Grid points closer than this (in decades) are coalesced before
-    /// differentiation. Non-uniform grids — the adaptive sweep's union of
-    /// dense output and solved refinement points — can carry
+    /// differentiation. A caller's non-uniform grid can carry
     /// near-duplicate frequencies whose tiny spacing amplifies rounding
     /// noise catastrophically in the second-derivative stencils; uniform
-    /// sweeps at any practical density are far coarser than this and are
-    /// unaffected.
+    /// sweeps at any practical density, the adaptive sweep's included,
+    /// are far coarser than this and are unaffected.
     real min_separation_decades = 1e-4;
     /// Use the direct eq.-(1.3) discretization instead of the log-log
     /// curvature form (ablation A3; results agree to discretization error).

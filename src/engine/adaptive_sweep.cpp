@@ -13,17 +13,6 @@ namespace acstab::engine {
 
 namespace {
 
-    /// One factored-and-solved frequency: the full solution of every
-    /// right-hand side, column-major (rhs r occupies [r*n, (r+1)*n)).
-    struct solved_sample {
-        real f = 0.0;
-        std::vector<cplx> x;
-    };
-
-    /// Relative tolerance under which two frequencies are the same point
-    /// (the output grid merge and the solve dedupe both use it).
-    constexpr real same_freq_rtol = 1e-9;
-
     /// Support-point cap of the rational model; a fit that pins this cap
     /// while staying far from tolerance marks a response the model class
     /// cannot represent (see the saturation bail-out below).
@@ -32,13 +21,20 @@ namespace {
     /// Safety valve on fit/refine iterations.
     constexpr std::size_t max_rounds = 24;
 
-    /// Refinement stops bisecting an interval once it is narrower than
-    /// this fraction of an output-grid step.
-    constexpr real min_gap_steps = 0.25;
+    /// Barycentric cancellation ratio below which a model point may sit
+    /// next to a model pole (barycentric_coeffs::denom_health).
+    constexpr real health_floor = 1e-3;
 
-    bool same_freq(real a, real b)
+    /// Index of the grid point nearest f on a log scale (ties go low).
+    std::size_t nearest_index(const std::vector<real>& grid, real f)
     {
-        return std::fabs(a - b) <= same_freq_rtol * std::max(std::fabs(a), std::fabs(b));
+        const auto it = std::lower_bound(grid.begin(), grid.end(), f);
+        if (it == grid.begin())
+            return 0;
+        const std::size_t hi = static_cast<std::size_t>(it - grid.begin());
+        if (it == grid.end() || f / grid[hi - 1] <= *it / f)
+            return hi - 1;
+        return hi;
     }
 
 } // namespace
@@ -47,11 +43,6 @@ adaptive_sweep::adaptive_sweep(adaptive_sweep_options opt) : opt_(std::move(opt)
 
 namespace {
 
-    struct flagged_candidate {
-        real f = 0.0;
-        real err = 0.0;
-    };
-
     adaptive_sweep_result run_adaptive(const linearized_snapshot& snap,
                                        const adaptive_sweep_options& opt,
                                        const std::vector<adaptive_channel>& channels,
@@ -59,6 +50,7 @@ namespace {
     {
         const std::size_t n = snap.size();
         const std::size_t nrhs = bvecs.size();
+        const std::size_t nch = channels.size();
         if (nrhs == 0)
             throw analysis_error("adaptive sweep: need at least one right-hand side");
         if (channels.empty())
@@ -71,11 +63,12 @@ namespace {
         if (opt.anchors_per_decade == 0 || opt.output_points_per_decade == 0)
             throw analysis_error("adaptive sweep: need at least 1 point per decade");
 
-        const std::vector<real> dense
+        // The output grid is the fixed grid the sweep replaces, and every
+        // solved frequency is one of its points, so no run factors more
+        // frequencies than the fixed grid would.
+        const std::vector<real> grid
             = numeric::log_grid(opt.fstart, opt.fstop, opt.output_points_per_decade, 8);
-        // Adaptive never factors more frequencies than the grid it replaces.
-        const std::size_t budget = dense.size();
-        const real min_gap = min_gap_steps / static_cast<real>(opt.output_points_per_decade);
+        const std::size_t ng = grid.size();
 
         // Seeding the shared symbolic factorization at the band's midpoint
         // lets every refinement batch hit the snapshot's cached one.
@@ -84,38 +77,50 @@ namespace {
         const sweep_engine eng(eopt);
 
         adaptive_sweep_result res;
-        std::vector<solved_sample> samples;
+        res.freq_hz = grid;
+        res.values.assign(nch, std::vector<cplx>(ng));
+        // Solved grid points; their channel values sit in res.values.
+        std::vector<bool> solved(ng, false);
+        // The full solution of every right-hand side at each refinement
+        // sample, column-major (rhs r occupies [r*n, (r+1)*n)), for the
+        // residual check below. Points solved after refinement keep only
+        // their channels.
+        std::vector<std::vector<cplx>> sol(ng);
+        std::vector<std::vector<std::size_t>> channels_of(nrhs);
+        for (std::size_t c = 0; c < nch; ++c)
+            channels_of[channels[c].rhs].push_back(c);
 
-        const auto solve = [&](std::vector<real> freqs) {
-            std::sort(freqs.begin(), freqs.end());
-            std::vector<real> fresh_f;
-            for (const real f : freqs) {
-                bool known = !fresh_f.empty() && same_freq(fresh_f.back(), f);
-                for (const solved_sample& s : samples)
-                    known = known || same_freq(s.f, f);
-                if (!known)
-                    fresh_f.push_back(f);
-            }
-            if (fresh_f.empty())
+        // Factor and solve unsolved grid points (ascending) in one batched
+        // engine pass.
+        const auto solve = [&](const std::vector<std::size_t>& idx, bool keep_solutions) {
+            if (idx.empty())
                 return;
-            std::vector<solved_sample> fresh(fresh_f.size());
-            for (std::size_t i = 0; i < fresh.size(); ++i) {
-                fresh[i].f = fresh_f[i];
-                fresh[i].x.resize(nrhs * n);
+            std::vector<real> freqs(idx.size());
+            for (std::size_t k = 0; k < idx.size(); ++k) {
+                freqs[k] = grid[idx[k]];
+                solved[idx[k]] = true;
+                if (keep_solutions)
+                    sol[idx[k]].resize(nrhs * n);
             }
-            eng.run(snap, fresh_f, bvecs,
-                    [&fresh, n](std::size_t fi, std::size_t ri, std::span<const cplx> sol) {
-                        std::copy(sol.begin(), sol.end(),
-                                  fresh[fi].x.begin() + static_cast<std::ptrdiff_t>(ri * n));
+            eng.run(snap, freqs, bvecs,
+                    [&](std::size_t fi, std::size_t ri, std::span<const cplx> x) {
+                        const std::size_t i = idx[fi];
+                        for (const std::size_t c : channels_of[ri])
+                            res.values[c][i] = x[channels[c].unknown];
+                        if (keep_solutions)
+                            std::copy(x.begin(), x.end(),
+                                      sol[i].begin() + static_cast<std::ptrdiff_t>(ri * n));
                     });
-            res.factorizations += fresh.size();
-            for (solved_sample& s : fresh)
-                samples.push_back(std::move(s));
-            std::sort(samples.begin(), samples.end(),
-                      [](const solved_sample& a, const solved_sample& b) { return a.f < b.f; });
+            res.factorizations += idx.size();
         };
 
-        solve(numeric::log_grid(opt.fstart, opt.fstop, opt.anchors_per_decade, 8));
+        // Anchors: the grid points nearest the coarse anchor grid, both
+        // ends included.
+        std::vector<std::size_t> anchors;
+        for (const real f : numeric::log_grid(opt.fstart, opt.fstop, opt.anchors_per_decade, 8))
+            anchors.push_back(nearest_index(grid, f));
+        anchors.erase(std::unique(anchors.begin(), anchors.end()), anchors.end());
+        solve(anchors, true);
 
         // Fit the shared-support rational model to the observable channels
         // at every solved frequency. The fit runs tighter than fit_tol so
@@ -125,25 +130,24 @@ namespace {
         // persist across rounds, so re-deriving each one greedily (one
         // weight eigen-solve per support point) is pure overhead — the
         // dominant refit cost on small circuits. The warm refit pays one
-        // eigen-solve for the seed batch plus one per NEW support point,
-        // and the backward-error validation below is unchanged, so the
-        // accuracy contract is unaffected.
+        // eigen-solve for the seed batch plus one per NEW support point.
         const auto fit = [&](const numeric::aaa_model* prev) {
-            std::vector<real> xs(samples.size());
-            std::vector<std::vector<cplx>> data(channels.size(),
-                                                std::vector<cplx>(samples.size()));
-            for (std::size_t i = 0; i < samples.size(); ++i) {
-                xs[i] = samples[i].f;
-                for (std::size_t c = 0; c < channels.size(); ++c)
-                    data[c][i] = samples[i].x[channels[c].rhs * n + channels[c].unknown];
+            std::vector<real> xs;
+            std::vector<std::vector<cplx>> data(nch);
+            for (std::size_t i = 0; i < ng; ++i) {
+                if (!solved[i])
+                    continue;
+                xs.push_back(grid[i]);
+                for (std::size_t c = 0; c < nch; ++c)
+                    data[c].push_back(res.values[c][i]);
             }
             numeric::aaa_options aopt;
             aopt.rel_tol = std::max(opt.fit_tol * 0.25, real{1e-13});
-            aopt.max_support = std::min(max_model_order, samples.size() - 1);
+            aopt.max_support = std::min(max_model_order, xs.size() - 1);
             if (prev != nullptr) {
                 for (const real fx : prev->support()) {
-                    // Support abscissae are bit-identical to sample
-                    // frequencies, so an exact binary search finds them.
+                    // Support abscissae are bit-identical to grid points,
+                    // so an exact binary search finds them.
                     const auto it = std::lower_bound(xs.begin(), xs.end(), fx);
                     if (it != xs.end() && *it == fx)
                         aopt.seed_support.push_back(
@@ -153,8 +157,22 @@ namespace {
             return numeric::aaa_fit(xs, data, aopt);
         };
 
-        // Refinement state: one workspace + scratch vectors reused across
-        // every candidate check (assemble + SpMV only; no factorization).
+        // The stored solutions behind a model's support points, in support
+        // order. They are looked up by frequency: support_samples() indexes
+        // the samples as they were at fit time, and a confirming batch
+        // adds samples after the fit.
+        const auto support_solutions = [&](const numeric::aaa_model& model) {
+            std::vector<const cplx*> cols;
+            for (const real fx : model.support())
+                cols.push_back(
+                    sol[static_cast<std::size_t>(
+                            std::lower_bound(grid.begin(), grid.end(), fx) - grid.begin())]
+                        .data());
+            return cols;
+        };
+
+        // Residual-check state: one workspace + scratch vectors reused
+        // across every candidate (assemble + SpMV only; no factorization).
         numeric::csc_matrix<cplx> work = snap.make_workspace();
         std::vector<cplx> xhat(n), yres(n);
         std::vector<real> bnorm(nrhs, 0.0);
@@ -168,18 +186,17 @@ namespace {
         // assembly plus one SpMV per RHS measures ||Y x - b|| — no
         // factorization. The worst RHS decides, so one refined grid
         // serves the whole batch.
-        const auto prediction_error = [&](real fcheck, const numeric::aaa_model& model,
-                                          const numeric::barycentric_coeffs& bc) {
+        const auto prediction_error = [&](real fcheck, const numeric::barycentric_coeffs& bc,
+                                          const std::vector<const cplx*>& cols) {
             snap.assemble(to_omega(fcheck), work);
             real ymax = 0.0;
             for (const cplx& v : work.values())
                 ymax = std::max(ymax, std::abs(v));
             real worst = 0.0;
-            const std::vector<std::size_t>& sidx = model.support_samples();
             for (std::size_t r = 0; r < nrhs && worst <= opt.fit_tol; ++r) {
                 std::fill(xhat.begin(), xhat.end(), cplx{});
-                for (std::size_t j = 0; j < sidx.size(); ++j) {
-                    const cplx* col = samples[sidx[j]].x.data() + r * n;
+                for (std::size_t j = 0; j < cols.size(); ++j) {
+                    const cplx* col = cols[j] + r * n;
                     for (std::size_t k = 0; k < n; ++k)
                         xhat[k] += bc.coeff[j] * col[k];
                 }
@@ -218,9 +235,8 @@ namespace {
 
             // A model that pins its support budget while staying far from
             // tolerance cannot represent the response (very high visible
-            // order, e.g. distributed RC lines); blind bisection would
-            // just burn the budget, so hand over to the output validation
-            // pass below, which solves exactly the points that need it.
+            // order, e.g. distributed RC lines); refining would only burn
+            // solves, so give up and solve the fixed grid below.
             if (model.support_count() >= max_model_order
                 && model.fit_error() > 1e3 * opt.fit_tol) {
                 if (++saturated_rounds >= 2) {
@@ -231,125 +247,86 @@ namespace {
                 saturated_rounds = 0;
             }
 
-            std::vector<flagged_candidate> flagged;
-            for (std::size_t i = 0; i + 1 < samples.size(); ++i) {
-                const real gap = std::log10(samples[i + 1].f / samples[i].f);
-                if (gap < 2.0 * min_gap)
-                    continue; // resolved to below the output grid's step
-                const real fmid = std::sqrt(samples[i].f * samples[i + 1].f);
-                const numeric::barycentric_coeffs bc = model.coeffs_at(fmid);
-                if (bc.exact_hit)
+            // Candidates: the middle grid point (the upper one of two)
+            // between solved neighbours at least two points apart; adjacent
+            // points are resolved. Each candidate the residual check rejects
+            // is flagged, together with the model's prediction of every
+            // channel there.
+            const std::vector<const cplx*> cols = support_solutions(model);
+            std::vector<std::size_t> flagged;
+            std::vector<cplx> predicted; // [flagged][channel]
+            std::size_t prev = 0;        // the first anchor
+            for (std::size_t i = 1; i < ng; ++i) {
+                if (!solved[i])
                     continue;
-                const real worst = prediction_error(fmid, model, bc);
-                if (worst > opt.fit_tol)
-                    flagged.push_back({fmid, worst});
+                if (i - prev >= 2) {
+                    const std::size_t mid = (prev + i + 1) / 2;
+                    const numeric::barycentric_coeffs bc = model.coeffs_at(grid[mid]);
+                    if (prediction_error(grid[mid], bc, cols) > opt.fit_tol) {
+                        flagged.push_back(mid);
+                        for (std::size_t c = 0; c < nch; ++c)
+                            predicted.push_back(model.eval_with(bc, c));
+                    }
+                }
+                prev = i;
             }
 
             if (flagged.empty())
                 break;
-            if (round >= max_rounds || samples.size() >= budget) {
+            if (round >= max_rounds) {
                 res.converged = false;
                 break;
             }
-            const std::size_t remaining = budget - samples.size();
-            if (flagged.size() > remaining) {
-                // Spend what is left on the worst offenders.
-                std::sort(flagged.begin(), flagged.end(),
-                          [](const flagged_candidate& a, const flagged_candidate& b) {
-                              if (a.err != b.err)
-                                  return a.err > b.err;
-                              return a.f < b.f;
-                          });
-                flagged.resize(remaining);
-            }
-            std::vector<real> to_solve;
-            to_solve.reserve(flagged.size());
-            for (const flagged_candidate& c : flagged)
-                to_solve.push_back(c.f);
-            solve(std::move(to_solve));
+            solve(flagged, true);
+
+            // A solved batch that lands where the model said, on every
+            // reported channel, confirms the model: refinement ends and the
+            // model fills the grid.
+            bool confirmed = true;
+            for (std::size_t k = 0; k < flagged.size() && confirmed; ++k)
+                for (std::size_t c = 0; c < nch && confirmed; ++c) {
+                    const cplx v = res.values[c][flagged[k]];
+                    confirmed = std::isfinite(v.real()) && std::isfinite(v.imag())
+                        && std::abs(v - predicted[k * nch + c]) <= opt.fit_tol * std::abs(v);
+                }
+            if (confirmed)
+                break;
         }
 
         res.model_order = model.support_count();
         res.model_fit_error = model.fit_error();
-        res.model = model;
 
-        // Output grid: every solved frequency plus the dense grid points
-        // that do not (nearly) coincide with one. Solved points carry the
-        // exact solver values; the rest are evaluated from the model.
-        constexpr std::size_t from_model = std::numeric_limits<std::size_t>::max();
-        std::vector<std::size_t> origin; // samples index, or from_model
-        const auto build_output = [&] {
-            res.freq_hz.clear();
-            origin.clear();
-            std::size_t di = 0;
-            for (std::size_t si = 0; si <= samples.size(); ++si) {
-                const real next_solved = si < samples.size()
-                    ? samples[si].f
-                    : std::numeric_limits<real>::infinity();
-                for (; di < dense.size() && dense[di] < next_solved; ++di) {
-                    if (si < samples.size() && same_freq(dense[di], next_solved))
-                        break;
-                    if (!res.freq_hz.empty() && same_freq(res.freq_hz.back(), dense[di]))
-                        continue;
-                    res.freq_hz.push_back(dense[di]);
-                    origin.push_back(from_model);
-                }
-                if (si < samples.size()) {
-                    while (di < dense.size() && same_freq(dense[di], next_solved))
-                        ++di;
-                    res.freq_hz.push_back(samples[si].f);
-                    origin.push_back(si);
-                }
-            }
-
-            res.values.assign(channels.size(), std::vector<cplx>(res.freq_hz.size()));
-            for (std::size_t k = 0; k < res.freq_hz.size(); ++k) {
-                if (origin[k] != from_model) {
-                    for (std::size_t c = 0; c < channels.size(); ++c)
-                        res.values[c][k]
-                            = samples[origin[k]].x[channels[c].rhs * n + channels[c].unknown];
-                    continue;
-                }
-                // One barycentric coefficient set per output point serves
-                // all channels (shared support and weights).
-                const numeric::barycentric_coeffs bc = model.coeffs_at(res.freq_hz[k]);
-                for (std::size_t c = 0; c < channels.size(); ++c)
-                    res.values[c][k] = model.eval_with(bc, c);
-            }
-        };
-        build_output();
-
-        // Output validation: model-derived points that could be wrong get
-        // the full backward-error check, and failures are solved directly
-        // and patched in, so a response the model cannot represent
-        // degrades gracefully to direct solves instead of leaking model
-        // artifacts into results. When refinement CONVERGED, every
-        // inter-sample midpoint already passed the check and the model
-        // interpolates the solved endpoints exactly, so the only spike
-        // mechanism left is a model pole inside an interval — flagged for
-        // cheap by the barycentric denominator's cancellation ratio.
-        // When refinement gave up (saturated model or exhausted budget),
-        // every model point is suspect and all of them are checked.
-        constexpr real health_floor = 1e-3;
-        std::vector<real> failed;
-        for (std::size_t k = 0; k < res.freq_hz.size(); ++k) {
-            if (origin[k] != from_model)
-                continue;
-            const numeric::barycentric_coeffs bc = model.coeffs_at(res.freq_hz[k]);
-            if (bc.exact_hit)
-                continue;
-            if (!res.converged || bc.denom_health < health_floor)
-                if (prediction_error(res.freq_hz[k], model, bc) > opt.fit_tol)
-                    failed.push_back(res.freq_hz[k]);
-        }
-        if (!failed.empty()) {
-            solve(std::move(failed));
-            build_output();
+        // Giving up returns the fixed grid: every point not yet solved is
+        // solved now, and the values are exact everywhere.
+        std::vector<std::size_t> unsolved;
+        for (std::size_t i = 0; i < ng; ++i)
+            if (!solved[i])
+                unsolved.push_back(i);
+        if (!res.converged) {
+            solve(unsolved, false);
+            unsolved.clear();
         }
 
-        res.solved_freq_hz.resize(samples.size());
-        for (std::size_t i = 0; i < samples.size(); ++i)
-            res.solved_freq_hz[i] = samples[i].f;
+        // A converged model fills the unsolved points. A model pole inside
+        // an interval would spike there; the barycentric denominator's
+        // cancellation ratio flags such points for cheap. They get the
+        // residual check and are solved if they fail; they are grid
+        // points, so the count stays within the grid.
+        const std::vector<const cplx*> cols = support_solutions(model);
+        std::vector<std::size_t> spikes;
+        for (const std::size_t i : unsolved) {
+            const numeric::barycentric_coeffs bc = model.coeffs_at(grid[i]);
+            if (bc.denom_health < health_floor && prediction_error(grid[i], bc, cols) > opt.fit_tol)
+                spikes.push_back(i);
+            else
+                for (std::size_t c = 0; c < nch; ++c)
+                    res.values[c][i] = model.eval_with(bc, c);
+        }
+        solve(spikes, false);
+
+        for (std::size_t i = 0; i < ng; ++i)
+            if (solved[i])
+                res.solved_freq_hz.push_back(grid[i]);
         return res;
     }
 

@@ -1,36 +1,46 @@
 // Adaptive frequency-grid driver: rational-interpolated sweeps that
-// factor 5-10x fewer points than the fixed per-decade grid.
+// factor a fraction of the fixed per-decade grid's points and return
+// that grid.
 //
 // The fixed-grid engine spends one LU factorization per grid point even
 // where the response is flat. Frequency responses of lumped linear
 // circuits are exactly rational and — for stable closed loops — of low
 // visible order over any finite band (Cooman et al., "Model-Free
 // Closed-Loop Stability Analysis"), so a barycentric rational model
-// fitted to a few solved samples predicts the rest of the band. The
-// driver exploits that:
+// fitted to a few solved samples predicts the rest of the band. Every
+// sample is a point of the output grid, the fixed grid the sweep
+// replaces, so no run factors more frequencies than that grid:
 //
-//   anchor   solve a coarse log grid (~4 points/decade) through the
-//            shared sweep engine (thread pool + shared symbolic LU);
+//   anchor   solve the grid points nearest a coarse log grid (~4
+//            points/decade), both ends included, through the shared
+//            sweep engine (thread pool + shared symbolic LU);
 //   fit      AAA-fit one shared-support rational model to the observable
 //            channels (numeric/aaa.h), all right-hand sides at once;
-//   refine   at each candidate midpoint of adjacent solved frequencies,
-//            predict the FULL solution vector of every right-hand side
-//            from the model's barycentric coefficients (common weights
-//            make this a short linear combination of stored solutions)
-//            and measure the backward error ||Y(jw) x - b|| with one
-//            matrix assembly and one SpMV per RHS — no factorization.
-//            Frequencies whose worst-RHS backward error exceeds fit_tol
-//            are solved for real in one batched engine pass, and the
-//            loop repeats (bisection) until every candidate passes or
-//            the budget is exhausted;
-//   evaluate the dense output grid is evaluated from the fitted model
-//            (exact solved values where available), so downstream
-//            consumers see the same dense, now mildly non-uniform grid
-//            with 5-10x fewer factorizations behind it.
+//   screen   at the middle grid point between solved neighbours at least
+//            two points apart, predict the FULL solution vector of every
+//            right-hand side from the model's barycentric coefficients
+//            (common weights make this a short linear combination of
+//            stored solutions) and measure the backward error
+//            ||Y(jw) x - b|| with one matrix assembly and one SpMV per
+//            RHS — no factorization. Candidates whose worst-RHS backward
+//            error exceeds fit_tol are flagged;
+//   confirm  record the model's prediction of every channel at the
+//            flagged points, then solve them in one batched engine pass.
+//            When every solved channel value v is finite and within
+//            fit_tol * |v| of its prediction, the batch confirms the
+//            model and refinement ends; otherwise the loop refits and
+//            screens again;
+//   evaluate the output grid carries exact values at solved points and
+//            the model elsewhere. A model point next to a model pole
+//            (barycentric cancellation) is screened and solved if it
+//            fails.
 //
-// Multi-RHS batches (all-nodes analysis, loop gain's two injections)
-// refine on the worst error over all right-hand sides, so a single
-// refined grid serves every RHS.
+// Refinement gives up on a model saturated at its support cap or at the
+// round cap; it then solves every grid point not yet solved and returns
+// the fixed grid's exact values. Multi-RHS batches (all-nodes analysis,
+// loop gain's two injections) screen on the worst error over all
+// right-hand sides and confirm on every channel, so a single refined
+// grid serves every RHS.
 #ifndef ACSTAB_ENGINE_ADAPTIVE_SWEEP_H
 #define ACSTAB_ENGINE_ADAPTIVE_SWEEP_H
 
@@ -39,7 +49,6 @@
 
 #include "engine/linearized_snapshot.h"
 #include "engine/sweep_engine.h"
-#include "numeric/aaa.h"
 
 namespace acstab::engine {
 
@@ -48,11 +57,12 @@ struct adaptive_sweep_options {
     real fstop = 1e9;
     /// Density of the coarse anchor grid that is always solved.
     std::size_t anchors_per_decade = 4;
-    /// Density of the dense output grid evaluated from the model (the
-    /// fixed path's points_per_decade equivalent).
+    /// Density of the output grid (the fixed path's points_per_decade
+    /// equivalent); every solved frequency is one of its points.
     std::size_t output_points_per_decade = 40;
-    /// Relative backward-error tolerance of the model's predicted
-    /// solutions; candidates above it are solved for real. Responses of
+    /// Relative tolerance of the model: on the backward error of its
+    /// predicted solutions (the screen) and on the error of its channel
+    /// predictions at a solved batch (the confirmation). Responses of
     /// lumped circuits are exactly rational, so tightening this costs few
     /// extra solves while keeping margins within rounding of the dense
     /// sweep.
@@ -68,29 +78,24 @@ struct adaptive_channel {
 };
 
 struct adaptive_sweep_result {
-    /// Dense output grid: the log grid at output_points_per_decade merged
-    /// with every solved frequency (sorted, near-duplicates removed) —
-    /// mildly non-uniform by construction.
+    /// Output grid: numeric::log_grid(fstart, fstop,
+    /// output_points_per_decade, 8), the fixed grid itself.
     std::vector<real> freq_hz;
     /// Channel values on freq_hz: exact solver output at solved
     /// frequencies, model evaluation elsewhere. [channel][freq index].
     std::vector<std::vector<cplx>> values;
-    /// Frequencies actually factored and solved, ascending.
+    /// Frequencies actually factored and solved, ascending (a subset of
+    /// freq_hz).
     std::vector<real> solved_freq_hz;
-    /// LU factorizations performed (one per solved frequency; the fixed
-    /// path's count is the full output grid size).
+    /// LU factorizations performed: one per solved frequency, never more
+    /// than the output grid's size (the fixed path's count).
     std::size_t factorizations = 0;
     /// Support-point count of the final rational model.
     std::size_t model_order = 0;
     /// Scaled least-squares error of the final fit at solved samples.
     real model_fit_error = 0.0;
-    /// The final fitted rational model itself (components in channel
-    /// order). Downstream consumers evaluate it at arbitrary density, or
-    /// extract its poles/level crossings as a low-order closed-loop
-    /// estimate (the impedance-partition analysis does both).
-    numeric::aaa_model model;
-    /// False when the round or point budget ran out with candidates still
-    /// failing the residual check (results are then best-effort).
+    /// False when refinement gave up (saturated model or round cap); every
+    /// grid point is then solved and the values are exact.
     bool converged = true;
 };
 

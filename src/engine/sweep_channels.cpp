@@ -1,6 +1,5 @@
 #include "engine/sweep_channels.h"
 
-#include <algorithm>
 #include <cmath>
 #include <span>
 #include <type_traits>
@@ -35,8 +34,7 @@ sweep_spec grid_band(const std::vector<real>& freqs_hz)
     // density it maps to this n is floor((n - 2) / decades) + 1.
     const real decades = std::log10(freqs_hz.back() / freqs_hz.front());
     const real ppd = std::floor(static_cast<real>(freqs_hz.size() - 2) / decades) + 1.0;
-    return {freqs_hz.front(), freqs_hz.back(),
-            std::max(min_points_per_decade, static_cast<std::size_t>(ppd))};
+    return {freqs_hz.front(), freqs_hz.back(), static_cast<std::size_t>(ppd)};
 }
 
 namespace {
@@ -82,7 +80,7 @@ namespace {
             for (std::size_t c = 0; c < channels.size(); ++c)
                 for (std::size_t fi = 0; fi < res.freq_hz.size(); ++fi)
                     sink.value(fi, c, res.values[c][fi]);
-            return {std::move(res.freq_hz), res.factorizations, std::move(res.model)};
+            return {std::move(res.freq_hz), res.factorizations};
         }
 
         // Channels grouped by right-hand side, so the engine's per-(fi, ri)
@@ -100,7 +98,7 @@ namespace {
             eng.run_injections(snap, grid_hz, rhs, worker_sink);
         else
             eng.run(snap, grid_hz, rhs, worker_sink);
-        return {grid_hz, grid_hz.size(), {}};
+        return {grid_hz, grid_hz.size()};
     }
 
 } // namespace

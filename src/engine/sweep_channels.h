@@ -15,7 +15,6 @@
 #include "engine/adaptive_sweep.h"
 #include "engine/linearized_snapshot.h"
 #include "engine/sweep_engine.h"
-#include "numeric/aaa.h"
 
 namespace acstab::engine {
 
@@ -35,9 +34,9 @@ struct sweep_spec {
 };
 
 /// Band and density of an existing log grid: the smallest density that
-/// numeric::log_grid maps to the grid's size, so an adaptive output grid
-/// contains every point of the passed one. The grid must be positive,
-/// strictly ascending and hold at least 2 points.
+/// numeric::log_grid maps to the grid's size, so the adaptive output grid
+/// is the passed grid (when it holds at least the driver's 8 points). The
+/// grid must be positive, strictly ascending and hold at least 2 points.
 [[nodiscard]] sweep_spec grid_band(const std::vector<real>& freqs_hz);
 
 /// How every frequency-domain analysis sweeps; their option structs
@@ -48,10 +47,10 @@ struct sweep_config {
     spice::solver_kind solver = spice::solver_kind::sparse;
     /// Ordering / kernel tuning forwarded to the sweep engine.
     solver_tuning tuning;
-    /// Adaptive frequency grid (engine/adaptive_sweep.h): factor only
-    /// where a fitted rational model fails its backward-error check.
+    /// Adaptive frequency grid (engine/adaptive_sweep.h): factor a subset
+    /// of the grid and fill the rest from a fitted rational model.
     bool adaptive = false;
-    /// Relative backward-error tolerance of the adaptive model.
+    /// Relative tolerance of the adaptive model.
     real fit_tol = 1e-6;
     /// Anchor density of the adaptive sweep's always-solved coarse grid.
     std::size_t anchors_per_decade = 4;
@@ -67,9 +66,8 @@ struct channel_sink {
 };
 
 struct channel_sweep {
-    std::vector<real> freq_hz;     ///< output grid
+    std::vector<real> freq_hz;      ///< output grid
     std::size_t factorizations = 0; ///< the fixed grid: one per point
-    numeric::aaa_model model;      ///< adaptive fit; empty on the fixed grid
 };
 
 /// Sweep unit injections over `grid_hz`, or adaptively over `band`

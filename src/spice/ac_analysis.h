@@ -17,8 +17,9 @@
 namespace acstab::spice {
 
 /// With `adaptive` set, the passed grid defines the band and output
-/// density of the adaptive sweep (engine::grid_band), and the model fits
-/// every MNA unknown, so the full solution is available on either grid.
+/// density of the adaptive sweep (engine::grid_band), which then returns
+/// that grid, and the model fits every MNA unknown, so the full solution
+/// is available on either path.
 struct ac_options : engine::sweep_config {
     real gmin = 1e-12;
     /// Node-to-ground shunt conductance regularizing floating nodes in the

@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "analysis/loop_gain.h"
 #include "circuits/opamp.h"
@@ -19,6 +21,7 @@
 #include "core/second_order.h"
 #include "engine/adaptive_sweep.h"
 #include "engine/linearized_snapshot.h"
+#include "gen/netlist_gen.h"
 #include "numeric/aaa.h"
 #include "numeric/interpolation.h"
 #include "spice/ac_analysis.h"
@@ -322,11 +325,9 @@ TEST(adaptive_sweep, solved_points_are_subset_and_model_fills_dense_grid)
 
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.factorizations, res.solved_freq_hz.size());
-    // The output grid is dense (at least the fixed grid's size), sorted,
-    // and contains every solved frequency.
-    EXPECT_GE(res.freq_hz.size(), numeric::log_grid(1e4, 1e8, 40, 8).size());
-    for (std::size_t i = 1; i < res.freq_hz.size(); ++i)
-        EXPECT_GT(res.freq_hz[i], res.freq_hz[i - 1]);
+    // The output grid is the fixed grid, and every solved frequency is one
+    // of its points.
+    EXPECT_EQ(res.freq_hz, numeric::log_grid(1e4, 1e8, 40, 8));
     for (const real f : res.solved_freq_hz)
         EXPECT_NE(std::find(res.freq_hz.begin(), res.freq_hz.end(), f), res.freq_hz.end());
     ASSERT_EQ(res.values.size(), 1u);
@@ -355,6 +356,101 @@ TEST(adaptive_sweep, zero_rhs_converges_at_anchor_cost)
               numeric::log_grid(aopt.fstart, aopt.fstop, aopt.anchors_per_decade, 8).size());
     for (const cplx& v : res.values[0])
         EXPECT_EQ(v, cplx{});
+}
+
+/// A single-node adaptive sweep of `port` on the CLI's default band,
+/// driven directly.
+engine::adaptive_sweep_result cli_band_sweep(spice::circuit& c, const std::string& port,
+                                             real fit_tol = 1e-6)
+{
+    const spice::dc_result op = spice::dc_operating_point(c);
+    engine::snapshot_options sopt;
+    sopt.zero_all_sources = true;
+    const engine::linearized_snapshot snap(c, op.solution, sopt);
+    engine::adaptive_sweep_options aopt;
+    aopt.fstart = 1e3;
+    aopt.fstop = 1e9;
+    aopt.output_points_per_decade = 50;
+    aopt.fit_tol = fit_tol;
+    const std::size_t k = static_cast<std::size_t>(*c.find_node(port));
+    return engine::adaptive_sweep(aopt).run_injections(snap, {{k, cplx{1.0, 0.0}}}, {{0, k}});
+}
+
+/// Distributed RC responses have a high visible order, so refinement that
+/// is not confined to the grid overspends on them. A sweep of such a port
+/// factors at most the grid's points, emits exactly the grid, and keeps
+/// the accuracy contract against the fixed sweep.
+TEST(adaptive_sweep, gen_ladder_and_mesh_ports_stay_within_the_fixed_grid)
+{
+    const std::vector<real> grid = numeric::log_grid(1e3, 1e9, 50, 8);
+    ASSERT_EQ(grid.size(), 301u);
+    gen::gen_options g;
+    g.size = 2000;
+    const struct {
+        std::string text;
+        const char* port;
+    } cases[] = {{gen::ladder_netlist(g), "n1000"}, {gen::rcmesh_netlist(g), "n22_22"}};
+    for (const auto& cs : cases) {
+        spice::parsed_netlist net = spice::parse_netlist(cs.text);
+        const engine::adaptive_sweep_result res = cli_band_sweep(net.ckt, cs.port);
+        EXPECT_LE(res.factorizations, grid.size()) << cs.port;
+        EXPECT_EQ(res.freq_hz, grid) << cs.port;
+
+        core::stability_options opt;
+        opt.sweep = {1e3, 1e9, 50};
+        core::stability_analyzer fixed_an(net.ckt, opt);
+        const core::node_stability fixed = fixed_an.analyze_node(cs.port);
+        opt.adaptive = true;
+        core::stability_analyzer adaptive_an(net.ckt, opt);
+        const core::node_stability adaptive = adaptive_an.analyze_node(cs.port);
+        ASSERT_TRUE(fixed.has_peak && adaptive.has_peak) << cs.port;
+        EXPECT_NEAR(adaptive.dominant.freq_hz, fixed.dominant.freq_hz,
+                    0.01 * fixed.dominant.freq_hz)
+            << cs.port;
+        EXPECT_NEAR(adaptive.phase_margin_est_deg, fixed.phase_margin_est_deg, 0.5) << cs.port;
+    }
+}
+
+TEST(adaptive_sweep, disagreeing_batches_do_not_end_refinement)
+{
+    // No rational model predicts a 200-section ladder to within 1e-300 of
+    // the solved values, so every solved batch disagrees with its
+    // predictions: refinement must go on until the grid is exhausted, and
+    // stop there with exact values.
+    gen::gen_options g;
+    g.size = 200;
+    spice::parsed_netlist net = spice::parse_netlist(gen::ladder_netlist(g));
+    const engine::adaptive_sweep_result res = cli_band_sweep(net.ckt, "n100", 1e-300);
+    EXPECT_EQ(res.freq_hz, numeric::log_grid(1e3, 1e9, 50, 8));
+    EXPECT_EQ(res.factorizations, res.freq_hz.size());
+    EXPECT_EQ(res.solved_freq_hz, res.freq_hz);
+
+    // At the default tolerance the same sweep confirms its model early.
+    EXPECT_LT(cli_band_sweep(net.ckt, "n100").factorizations, res.factorizations / 3);
+}
+
+TEST(adaptive_sweep, nan_batches_do_not_end_refinement)
+{
+    // A NaN stimulus makes every solved value NaN. No batch may confirm
+    // the model, so every grid point is solved, and none twice.
+    spice::circuit c;
+    circuits::add_parallel_rlc_tank(c, "tank", 0.3, 1e6);
+    const spice::dc_result op = spice::dc_operating_point(c);
+    engine::snapshot_options sopt;
+    sopt.zero_all_sources = true;
+    const engine::linearized_snapshot snap(c, op.solution, sopt);
+    std::vector<cplx> rhs(snap.size(), cplx{});
+    const std::size_t k = static_cast<std::size_t>(*c.find_node("tank"));
+    rhs[k] = cplx{std::numeric_limits<real>::quiet_NaN(), 0.0};
+
+    const engine::adaptive_sweep eng;
+    const engine::adaptive_sweep_result res = eng.run(snap, {rhs}, {{0, k}});
+    const engine::adaptive_sweep_options& aopt = eng.options();
+    EXPECT_EQ(res.freq_hz,
+              numeric::log_grid(aopt.fstart, aopt.fstop, aopt.output_points_per_decade, 8));
+    EXPECT_EQ(res.factorizations, res.freq_hz.size());
+    for (const cplx& v : res.values[0])
+        EXPECT_TRUE(std::isnan(v.real())) << v;
 }
 
 TEST(adaptive_sweep, validates_inputs)

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "circuits/rlc.h"
 #include "common/error.h"
@@ -141,6 +144,38 @@ TEST(analyzer, two_tanks_grouped_into_two_loops)
     // Sorted ascending by natural frequency like the paper's Table 2.
     EXPECT_EQ(rep.nodes[rep.loops[0].members[0]].node, "t1");
     EXPECT_EQ(rep.nodes[rep.loops[1].members[0]].node, "t2");
+}
+
+TEST(analyzer, rows_printing_the_same_frequency_are_ordered_by_name)
+{
+    // Tank a rings a hair above tank b: their natural frequencies differ
+    // past the 6th significant digit, which the CSV does not print, so the
+    // rows come in name order instead of in the order of unprinted digits.
+    spice::circuit c;
+    circuits::add_parallel_rlc_tank(c, "b", 0.2, 1e6);
+    circuits::add_parallel_rlc_tank(c, "a", 0.2, 1e6 * (1.0 + 1e-7));
+    stability_analyzer an(c, tank_options());
+    const stability_report rep = an.analyze_all_nodes();
+    ASSERT_EQ(rep.nodes.size(), 2u);
+    ASSERT_TRUE(rep.nodes[0].has_peak && rep.nodes[1].has_peak);
+    EXPECT_EQ(rep.nodes[0].node, "a");
+    EXPECT_EQ(rep.nodes[1].node, "b");
+    ASSERT_GT(rep.nodes[0].dominant.freq_hz, rep.nodes[1].dominant.freq_hz);
+
+    // Both rows print the same frequency field.
+    std::istringstream csv(format_csv(rep));
+    std::string line;
+    std::vector<std::string> freq_fields;
+    std::getline(csv, line); // header
+    while (std::getline(csv, line)) {
+        std::istringstream fields(line);
+        std::string field;
+        for (int k = 0; k < 3; ++k)
+            std::getline(fields, field, ',');
+        freq_fields.push_back(field);
+    }
+    ASSERT_EQ(freq_fields.size(), 2u);
+    EXPECT_EQ(freq_fields[0], freq_fields[1]);
 }
 
 TEST(analyzer, coupled_tank_nodes_group_into_one_loop)

@@ -184,7 +184,6 @@ void expect_fixed_matches_engine(const sweep_case<Rhs>& sc)
         EXPECT_EQ(got.grid, band.frequencies()) << sc.name;
         EXPECT_EQ(got.result.freq_hz, got.grid) << sc.name;
         EXPECT_EQ(got.result.factorizations, got.grid.size()) << sc.name;
-        EXPECT_EQ(got.result.model.support_count(), 0u) << sc.name;
         EXPECT_EQ(got.value_calls, sc.chans.size() * got.grid.size()) << sc.name;
         // Bit for bit: the entry point only forwards the engine's values.
         EXPECT_EQ(got.values, engine_values(*sc.snap, sc.rhs, sc.chans, threads))
@@ -208,7 +207,6 @@ void expect_adaptive_matches_driver(const sweep_case<Rhs>& sc)
         EXPECT_EQ(got.result.freq_hz, ref.freq_hz) << sc.name;
         EXPECT_EQ(got.result.factorizations, ref.factorizations) << sc.name;
         EXPECT_LT(got.result.factorizations, got.grid.size()) << sc.name;
-        EXPECT_EQ(got.result.model.support_count(), ref.model_order) << sc.name;
         EXPECT_EQ(got.value_calls, sc.chans.size() * got.grid.size()) << sc.name;
         EXPECT_EQ(got.values, ref.values) << sc.name << " threads=" << threads;
     }

@@ -12,15 +12,17 @@
 //     full symbolic analysis, one numeric refactorization on the column
 //     vs the supernodal path, and one 24-RHS batched back-solve on each
 //     path (with the blocked-vs-column solution equivalence recorded as
-//     max_rel_err). CI's perf-ratio guard reads the refactor_column /
-//     refactor_supernodal pair of this table.
+//     max_rel_err). The refactor rows also carry the factorization's
+//     complex multiply-add count (cmacs) and its rate (gflops, 8 real
+//     flops per complex multiply-add). CI's perf-ratio guard reads the
+//     refactor_column / refactor_supernodal pair of this table.
 //   * sweep ablation: wall time per frequency point of a serial
 //     injection sweep under the solver configurations, all on
 //     approximate minimum degree —
 //       amdx_scalar    column path, scalar batch kernel (the baseline)
-//       amdx_simd      + the split real/imag vectorized batch kernel
-//       amdx_sn_simd   + the supernodal/blocked numeric path (the
-//                      default configuration)
+//       amdx_sn_simd   the supernodal/blocked numeric path with its
+//                      split real/imag batch kernel (the default
+//                      configuration)
 //     with each configuration's answers checked against the baseline.
 //     The ablation runs in both right-hand-side regimes: 24 probes (the
 //     all-nodes stability shape) and 1 probe (the single-node stability
@@ -66,6 +68,8 @@ struct row {
     long long lu_nnz = -1;      ///< L+U nonzeros of the symbolic pattern
     double ms_per_freq = -1.0;  ///< sweep wall time / frequency count
     double max_rel_err = 0.0;   ///< vs the amdx_scalar baseline magnitudes
+    long long cmacs = -1;       ///< refactor rows: complex multiply-adds per factorization
+    double gflops = -1.0;       ///< refactor rows: 8 * cmacs / wall time
 };
 
 std::vector<row>& results()
@@ -81,9 +85,10 @@ void emit_json()
         const row& r = results()[i];
         std::printf("%s{\"bench\":\"%s\",\"kind\":\"%s\",\"unknowns\":%zu,"
                     "\"mode\":\"%s\",\"probes\":%lld,\"lu_nnz\":%lld,\"ms_per_freq\":%.5f,"
-                    "\"max_rel_err\":%.3g}",
+                    "\"max_rel_err\":%.3g,\"cmacs\":%lld,\"gflops\":%.3f}",
                     i == 0 ? "" : ",", r.bench.c_str(), r.kind.c_str(), r.unknowns,
-                    r.mode.c_str(), r.probes, r.lu_nnz, r.ms_per_freq, r.max_rel_err);
+                    r.mode.c_str(), r.probes, r.lu_nnz, r.ms_per_freq, r.max_rel_err, r.cmacs,
+                    r.gflops);
     }
     std::puts("]");
 }
@@ -149,6 +154,20 @@ void print_fill_table(const std::vector<std::size_t>& sizes)
     std::puts("");
 }
 
+/// Complex multiply-adds of one numeric factorization on the symbolic
+/// pattern: every U entry (j, k) above the diagonal updates column k with
+/// L's column j, one multiply-add per entry of it.
+long long factor_cmacs(const numeric::symbolic_lu<cplx>& sym)
+{
+    long long total = 0;
+    for (std::size_t k = 0; k < sym.size(); ++k)
+        for (std::size_t p = sym.ucol_ptr()[k]; p + 1 < sym.ucol_ptr()[k + 1]; ++p) {
+            const std::size_t j = sym.urow()[p];
+            total += static_cast<long long>(sym.lcol_ptr()[j + 1] - sym.lcol_ptr()[j]);
+        }
+    return total;
+}
+
 /// Wall time of each solver phase in isolation — approximate minimum
 /// degree ordering, full symbolic analysis, one numeric
 /// refactorization and one 24-RHS batched back-solve on the column and
@@ -159,7 +178,7 @@ void print_phase_breakdown(const std::vector<std::size_t>& sizes, int repeats)
     std::puts("A5d — per-phase wall time [ms], column vs supernodal numeric paths");
     std::puts("==============================================================================");
     std::puts("kind     unknowns  order_amdx  symbolic  refac_col  refac_sn  "
-              "solve24_col  solve24_sn  sn err");
+              "solve24_col  solve24_sn  sn err   Mcmac  GF/s col  GF/s sn");
     std::puts("------------------------------------------------------------------------------");
     for (const std::string kind : {"ladder", "rcmesh"}) {
         for (const std::size_t size : sizes) {
@@ -190,7 +209,6 @@ void print_phase_breakdown(const std::vector<std::size_t>& sizes, int repeats)
             });
 
             numeric::numeric_lu<cplx> col(sym);
-            col.set_batch_kernel(numeric::batch_kernel::simd);
             numeric::numeric_lu<cplx> blk(sym);
             blk.set_batch_kernel(numeric::batch_kernel::simd);
             blk.set_supernodal(true);
@@ -221,17 +239,24 @@ void print_phase_breakdown(const std::vector<std::size_t>& sizes, int repeats)
                     err = std::max(err, std::abs(xc[i] - xb[i]) / mag);
             }
 
-            std::printf("%-8s %8zu    %8.2f  %8.2f   %8.2f  %8.2f     %8.3f    %8.3f  %.2g\n",
+            const long long cmacs = factor_cmacs(*sym);
+            const auto gflops = [cmacs](double ms) { return 8.0 * static_cast<double>(cmacs) / (ms * 1e6); };
+            std::printf("%-8s %8zu    %8.2f  %8.2f   %8.2f  %8.2f     %8.3f    %8.3f  %.2g  %6.2f  %8.2f  %7.2f\n",
                         kind.c_str(), n, ms_amdx, ms_sym, ms_refac_col, ms_refac_sn,
-                        ms_solve_col, ms_solve_sn, err);
+                        ms_solve_col, ms_solve_sn, err, static_cast<double>(cmacs) * 1e-6,
+                        gflops(ms_refac_col), gflops(ms_refac_sn));
             const auto phase_row = [&](const char* mode, double ms, long long probes,
                                        double rel_err) {
                 results().push_back({"scaling_phase", kind, n, mode, probes, -1, ms, rel_err});
             };
+            const auto refactor_row = [&](const char* mode, double ms) {
+                results().push_back({"scaling_phase", kind, n, mode, -1, -1, ms, 0.0, cmacs,
+                                     gflops(ms)});
+            };
             phase_row("order_amd_approx", ms_amdx, -1, 0.0);
             phase_row("symbolic", ms_sym, -1, 0.0);
-            phase_row("refactor_column", ms_refac_col, -1, 0.0);
-            phase_row("refactor_supernodal", ms_refac_sn, -1, 0.0);
+            refactor_row("refactor_column", ms_refac_col);
+            refactor_row("refactor_supernodal", ms_refac_sn);
             phase_row("solve24_column", ms_solve_col, 24, 0.0);
             phase_row("solve24_supernodal", ms_solve_sn, 24, err);
         }
@@ -291,7 +316,6 @@ void print_sweep_ablation(const char* title, std::size_t nprobes,
     };
     const sweep_mode modes[] = {
         {"amdx_scalar", false, false},
-        {"amdx_simd", true, false},
         {"amdx_sn_simd", true, true},
     };
     const std::vector<real> freqs = numeric::log_grid(1e4, 1e7, 40);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <span>
+#include <sstream>
 
 #include "common/error.h"
 #include "numeric/aaa.h"
@@ -39,6 +40,15 @@ namespace {
 
 } // namespace
 
+void check_fit_tol(real fit_tol, std::string_view what)
+{
+    if (!(fit_tol > 0.0 && fit_tol <= max_fit_tol)) {
+        std::ostringstream msg;
+        msg << what << " must be in (0, " << max_fit_tol << "], got " << fit_tol;
+        throw analysis_error(msg.str());
+    }
+}
+
 adaptive_sweep::adaptive_sweep(adaptive_sweep_options opt) : opt_(std::move(opt)) {}
 
 namespace {
@@ -58,8 +68,7 @@ namespace {
         for (const adaptive_channel& ch : channels)
             if (ch.rhs >= nrhs || ch.unknown >= n)
                 throw analysis_error("adaptive sweep: channel index out of range");
-        if (!(opt.fit_tol > 0.0))
-            throw analysis_error("adaptive sweep: fit_tol must be positive");
+        check_fit_tol(opt.fit_tol, "adaptive sweep: fit_tol");
         if (opt.anchors_per_decade == 0 || opt.output_points_per_decade == 0)
             throw analysis_error("adaptive sweep: need at least 1 point per decade");
 

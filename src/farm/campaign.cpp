@@ -58,6 +58,7 @@ core::tran_stability_options campaign_spec::transient_options() const
 
 void check_sweep(const campaign_spec& spec)
 {
+    engine::check_fit_tol(spec.fit_tol, "farm: sweep fit_tol");
     if (spec.analysis == campaign_analysis::stability
         && spec.points_per_decade < engine::min_points_per_decade)
         throw analysis_error("farm: sweep points_per_decade = "

@@ -72,9 +72,10 @@ struct campaign_spec {
     [[nodiscard]] core::tran_stability_options transient_options() const;
 };
 
-/// Refuse a stability campaign below engine::min_points_per_decade and a
-/// transient campaign whose window spice::check_tran_window refuses (run
-/// by `farm plan` and campaign_from_json).
+/// Refuse a fit_tol outside (0, engine::max_fit_tol], a stability
+/// campaign below engine::min_points_per_decade and a transient campaign
+/// whose window spice::check_tran_window refuses (run by `farm plan` and
+/// campaign_from_json).
 void check_sweep(const campaign_spec& spec);
 
 /// Spec <-> JSON (the plan file). Round trips exactly: numbers use the

@@ -2,19 +2,23 @@
 // (Gilbert–Peierls with threshold partial pivoting).
 //
 //   * symbolic_lu — the immutable, shareable half: pivot order, column
-//     preordering and the full symbolic L/U reach patterns, computed once
-//     per matrix structure. Safe to share (read-only) across any number
-//     of workers via shared_ptr; the sweep engine computes it once per
-//     linearized snapshot instead of once per worker chunk.
+//     preordering, the full symbolic L/U reach patterns, their supernode
+//     partition and the blocked refactorization's pair plan, computed
+//     once per matrix structure. Safe to share (read-only) across any
+//     number of workers via shared_ptr; the sweep engine computes it once
+//     per linearized snapshot instead of once per worker chunk.
 //   * numeric_lu — the lightweight per-worker half: just the L/U values
 //     plus O(n) scratch, refactored in place against the shared symbolic
-//     object frequency to frequency. Its solve_in_place / solve_batch
-//     back-solve whole RHS batches in one L and one U traversal without
-//     a single heap allocation, which is what makes the sweep hot loop
-//     allocation-free. Its factor() is the one guarded refactorization:
-//     the sweep engine, the Newton solver and the pole search reuse a
-//     pivot order only through it, and it re-pivots when the order has
-//     gone stale.
+//     object frequency to frequency. In supernodal mode the refactor runs
+//     one target supernode at a time: per (source, target) supernode
+//     pair, one dense triangular solve and one dense product
+//     (numeric/sn_kernels.h) instead of one of each per target column.
+//     Its solve_in_place / solve_batch back-solve whole RHS batches in
+//     one L and one U traversal without a single heap allocation, which
+//     is what makes the sweep hot loop allocation-free. Its factor() is
+//     the one guarded refactorization: the sweep engine, the Newton
+//     solver and the pole search reuse a pivot order only through it,
+//     and it re-pivots when the order has gone stale.
 //
 // sparse_lu.h keeps the original one-object facade on top of this pair
 // for one-shot factor-and-solve call sites.
@@ -56,12 +60,11 @@ enum class batch_kernel {
     /// One right-hand side at a time inside the shared L/U traversal;
     /// bit-identical to repeated single solves.
     scalar,
-    /// Split real/imag planes in an rhs-contiguous layout so the inner
-    /// loop over the batch is unit-stride and auto-vectorizes; results
-    /// agree with scalar to rounding (the complex multiply is expanded
-    /// into real mul/adds the compiler may schedule differently).
-    /// Only distinct from scalar for std::complex<double> batches of
-    /// two or more right-hand sides.
+    /// Split real/imag planes in an rhs-contiguous layout, walked over
+    /// the dense supernodal panels, so the inner loop over the batch is
+    /// unit-stride and vectorizes; results agree with scalar to rounding.
+    /// Only distinct from scalar in supernodal mode, for
+    /// std::complex<double> batches of two or more right-hand sides.
     simd,
 };
 
@@ -132,6 +135,10 @@ public:
     /// Supernode partition of the pivot columns (supernode.h), computed
     /// once at analysis time; numeric_lu's blocked mode is built on it.
     [[nodiscard]] const supernode_partition& supernodes() const noexcept { return sn_; }
+    /// The blocked refactorization's symbolic plan (supernode.h), built
+    /// at analysis time next to the partition and shared read-only by
+    /// every worker.
+    [[nodiscard]] const supernode_plan& plan() const noexcept { return plan_; }
 
 private:
     void analyze(const csc_matrix<T>& a, factor_values* values_out)
@@ -293,6 +300,7 @@ private:
         // The L rows are in pivot space now, which is what the supernode
         // nesting rule is defined over.
         sn_ = detect_supernodes(n_, lcol_ptr_, lrow_);
+        plan_ = plan_supernodal_lu(sn_, lcol_ptr_, lrow_, ucol_ptr_, urow_);
     }
 
     std::size_t n_ = 0;
@@ -302,6 +310,7 @@ private:
     std::vector<std::size_t> pinv_;
     std::vector<std::size_t> q_;
     supernode_partition sn_;
+    supernode_plan plan_;
 };
 
 /// Per-worker numeric factorization bound to a shared symbolic_lu. Holds
@@ -339,10 +348,10 @@ public:
     /// sparsity pattern, reusing its pivot order (no search, no
     /// allocation). Throws numeric_error on an exactly-zero pivot; the
     /// values are then undefined but the instance may be refactored again.
-    /// In supernodal mode the blocked elimination runs instead of the
-    /// column-at-a-time loop; both fill the same CSC value arrays (the
-    /// blocked path additionally fills its dense panels), so every solve
-    /// path stays valid either way.
+    /// In supernodal mode the pair-wise blocked elimination runs instead
+    /// of the column-at-a-time loop; both fill the same CSC value arrays
+    /// (the blocked path additionally fills its dense panels), so every
+    /// solve path stays valid either way.
     void refactor(const csc_matrix<T>& a)
     {
         const std::size_t n = sym_->size();
@@ -513,89 +522,7 @@ private:
         }
     }
 
-    /// tmp[r] = l[r] * u (assignment form: the first contributing column
-    /// of a run initializes the accumulator, so no zeroing pass).
-    void mul_set_(T* __restrict y, const T* __restrict l, T u, std::size_t m) const noexcept
-    {
-        if constexpr (split_cplx_) {
-            const double ur = u.real();
-            const double ui = u.imag();
-            double* __restrict yp = reinterpret_cast<double*>(y);
-            const double* __restrict lp = reinterpret_cast<const double*>(l);
-            if (snk_ok_ && m >= 4) {
-                snk::cax_set(yp, lp, ur, ui, m);
-                return;
-            }
-            for (std::size_t d = 0; d < 2 * m; d += 2) {
-                const double lr = lp[d];
-                const double li = lp[d + 1];
-                yp[d] = lr * ur - li * ui;
-                yp[d + 1] = lr * ui + li * ur;
-            }
-        } else {
-            for (std::size_t r = 0; r < m; ++r)
-                y[r] = l[r] * u;
-        }
-    }
-
-    /// tmp[r] += l[r] * u.
-    void mul_add_(T* __restrict y, const T* __restrict l, T u, std::size_t m) const noexcept
-    {
-        if constexpr (split_cplx_) {
-            const double ur = u.real();
-            const double ui = u.imag();
-            double* __restrict yp = reinterpret_cast<double*>(y);
-            const double* __restrict lp = reinterpret_cast<const double*>(l);
-            if (snk_ok_ && m >= 4) {
-                snk::cax_add(yp, lp, ur, ui, m);
-                return;
-            }
-            for (std::size_t d = 0; d < 2 * m; d += 2) {
-                const double lr = lp[d];
-                const double li = lp[d + 1];
-                yp[d] += lr * ur - li * ui;
-                yp[d + 1] += lr * ui + li * ur;
-            }
-        } else {
-            for (std::size_t r = 0; r < m; ++r)
-                y[r] += l[r] * u;
-        }
-    }
-
-    /// Fused pair forms of mul_set_/mul_add_: y op= l0*u0 + l1*u1 in one
-    /// pass over y.
-    void mul_set2_(T* __restrict y, const T* l0, T u0, const T* l1, T u1,
-                   std::size_t m) const noexcept
-    {
-        if constexpr (split_cplx_) {
-            double* __restrict yp = reinterpret_cast<double*>(y);
-            const double* l0p = reinterpret_cast<const double*>(l0);
-            const double* l1p = reinterpret_cast<const double*>(l1);
-            if (snk_ok_ && m >= 4) {
-                snk::cax_set2(yp, l0p, u0.real(), u0.imag(), l1p, u1.real(), u1.imag(), m);
-                return;
-            }
-        }
-        for (std::size_t r = 0; r < m; ++r)
-            y[r] = cmul_(l0[r], u0) + cmul_(l1[r], u1);
-    }
-
-    void mul_add2_(T* __restrict y, const T* l0, T u0, const T* l1, T u1,
-                   std::size_t m) const noexcept
-    {
-        if constexpr (split_cplx_) {
-            double* __restrict yp = reinterpret_cast<double*>(y);
-            const double* l0p = reinterpret_cast<const double*>(l0);
-            const double* l1p = reinterpret_cast<const double*>(l1);
-            if (snk_ok_ && m >= 4) {
-                snk::cax_add2(yp, l0p, u0.real(), u0.imag(), l1p, u1.real(), u1.imag(), m);
-                return;
-            }
-        }
-        for (std::size_t r = 0; r < m; ++r)
-            y[r] += cmul_(l0[r], u0) + cmul_(l1[r], u1);
-    }
-
+    /// Fused pair form of mul_sub_: y -= l0*u0 + l1*u1 in one pass over y.
     void mul_sub2_(T* __restrict y, const T* l0, T u0, const T* l1, T u1,
                    std::size_t m) const noexcept
     {
@@ -612,284 +539,281 @@ private:
             y[r] -= cmul_(l0[r], u0) + cmul_(l1[r], u1);
     }
 
-    /// w[rows[r]] -= l[r] * u: direct one-column scatter for width-1
-    /// runs, where staging through the accumulator would cost two extra
-    /// passes over the sub-rows.
-    static void scatter_sub1_(T* w, const std::size_t* rows, const T* l, T u,
-                              std::size_t m) noexcept
+    /// The pair's product, subtracted through its row map: for r < m and
+    /// q < n, element map[r] of column base dst[q] (r < split) or
+    /// dst[n + q] (r >= split) loses (a * b)(r, q). a is m x k with leading
+    /// dimension lda (a source's sub-row panel), b[q] points at column q's
+    /// k values. Complex values take the register-blocked kernel, which
+    /// subtracts straight out of its registers, when the CPU has it; the
+    /// portable product-then-scatter serves baseline builds and T = double.
+    void product_sub_(T* const* dst, std::size_t split, const std::uint32_t* map, const T* a,
+                      std::size_t lda, const T* const* b, std::size_t m, std::size_t n,
+                      std::size_t k) noexcept
     {
-        for (std::size_t r = 0; r < m; ++r)
-            w[rows[r]] -= cmul_(l[r], u);
+        if (m == 0)
+            return;
+        if constexpr (split_cplx_) {
+            if (snk_ok_) {
+                snk::zgemm_scatter_sub(reinterpret_cast<double* const*>(dst), split, map,
+                                       reinterpret_cast<const double*>(a), lda,
+                                       reinterpret_cast<const double* const*>(b), m, n, k);
+                return;
+            }
+        }
+        T* __restrict c = sn_prod_.data();
+        for (std::size_t q = 0; q < n; ++q) {
+            const T* bq = b[q];
+            for (std::size_t r = 0; r < m; ++r)
+                c[r] = cmul_(a[r], bq[0]);
+            for (std::size_t p = 1; p < k; ++p) {
+                const T* ap = a + p * lda;
+                const T u = bq[p];
+                for (std::size_t r = 0; r < m; ++r)
+                    c[r] += cmul_(ap[r], u);
+            }
+            for (std::size_t r = 0; r < split; ++r)
+                dst[q][map[r]] -= c[r];
+            for (std::size_t r = split; r < m; ++r)
+                dst[n + q][map[r]] -= c[r];
+        }
     }
 
-    /// w[rows[r]] -= l0[r] * u0 + l1[r] * u1: fused two-column scatter.
-    static void scatter_sub2_(T* w, const std::size_t* rows, const T* l0, T u0, const T* l1,
-                              T u1, std::size_t m) noexcept
-    {
-        for (std::size_t r = 0; r < m; ++r)
-            w[rows[r]] -= cmul_(l0[r], u0) + cmul_(l1[r], u1);
-    }
-
-    /// w[rows[r]] -= t[r]: drain of the staged sub-row accumulator.
-    static void scatter_sub_acc_(T* w, const std::size_t* rows, const T* t,
-                                 std::size_t m) noexcept
-    {
-        for (std::size_t r = 0; r < m; ++r)
-            w[rows[r]] -= t[r];
-    }
-
-    /// Panel-column drains: like the scatter helpers above but indexed by
-    /// the precomputed target-panel slots, so the read-modify-writes land
-    /// in the current (cache-resident) panel column rather than the
-    /// n-sized work vector.
-    static void panel_sub1_(T* pc, const std::uint32_t* slot, const T* l, T u,
-                            std::size_t m) noexcept
-    {
-        for (std::size_t r = 0; r < m; ++r)
-            pc[slot[r]] -= cmul_(l[r], u);
-    }
-
-    static void panel_sub2_(T* pc, const std::uint32_t* slot, const T* l0, T u0, const T* l1,
-                            T u1, std::size_t m) noexcept
-    {
-        for (std::size_t r = 0; r < m; ++r)
-            pc[slot[r]] -= cmul_(l0[r], u0) + cmul_(l1[r], u1);
-    }
-
-    static void panel_sub_acc_(T* pc, const std::uint32_t* slot, const T* t,
-                               std::size_t m) noexcept
-    {
-        for (std::size_t r = 0; r < m; ++r)
-            pc[slot[r]] -= t[r];
-    }
-
-    /// Blocked left-looking elimination over the symbolic supernode
-    /// partition. Identical structure to refactor_column, but the U
-    /// entries of a target column are consumed per *source supernode*:
-    /// within one supernode the entries lie in one span of pivot rows
-    /// ending at the supernode's last column (the nested L patterns close
-    /// the reach through the dense diagonal block), so one run costs a
-    /// dense unit-lower triangular solve against the source's diagonal
-    /// block plus a dense rectangular update — instead of one indirect
-    /// scatter per source column as in the column path.
+    /// Blocked left-looking elimination, one target supernode T at a
+    /// time over the shared plan (supernode_plan in supernode.h):
     ///
-    /// The target column's L region (pivot row included) accumulates in
-    /// its own dense panel column rather than the work vector: deposits
-    /// at or below the target column drain into the cache-resident panel
-    /// through precomputed slot lists (in-block sources are fully dense,
-    /// no indices at all), only rows above the target stay in the n-sized
-    /// work vector for the later triangular solves that consume them.
-    /// The pivot then scales the panel's L region in place (one complex
-    /// division per column instead of one per L entry) and the CSC L
-    /// values are gathered out of the panel. Results agree with
-    /// refactor_column to rounding.
+    ///  1. A's columns of T are scattered into T's cleared panel (rows at
+    ///     or below T's first column) and into the cleared above block
+    ///     (rows above it).
+    ///  2. Each (source, target) pair, sources ascending, runs one dense
+    ///     unit-lower triangular solve and one dense product for all of
+    ///     its target columns at once (update_pair_), so a wide source
+    ///     panel is read once per pair instead of once per target column.
+    ///  3. T's own diagonal block is eliminated column by column with
+    ///     dense rank-1/rank-2 streams over the panel, each pivot's
+    ///     reciprocal scales its L column in place, and the CSC L values
+    ///     are gathered out of the panel.
+    ///
+    /// Positions without a structural entry (the rows of a span before a
+    /// column's first U entry, relaxed padding) hold exact zeros
+    /// throughout, so every structural value is the column path's up to
+    /// rounding. A matrix that is a single supernode runs step 3 only.
     void refactor_supernodal(const csc_matrix<T>& a)
     {
-        const std::size_t n = sym_->size();
         const auto& lcol_ptr = sym_->lcol_ptr();
         const auto& ucol_ptr = sym_->ucol_ptr();
         const auto& urow = sym_->urow();
         const auto& pinv = sym_->pinv();
         const auto& qperm = sym_->q();
         const supernode_partition& sn = sym_->supernodes();
-        std::vector<T>& w = work_;
-        const std::uint32_t* slot_cur = sn_slots_.data();
+        const supernode_plan& plan = sym_->plan();
         std::uint32_t* pos = sn_pos_.data();
-        for (std::size_t k = 0; k < n; ++k) {
-            const std::size_t t = sn.col_super[k];
+        T* above = sn_above_.data();
+        for (std::size_t t = 0; t < sn.count(); ++t) {
             const std::size_t ft = sn.first[t];
             const std::size_t wt = sn.width(t);
-            const std::size_t ldt = panel_ld_[t];
-            T* pant = panels_.data() + panel_off_[t];
-            T* pancol_t = pant + (k - ft) * ldt; // target's panel column
+            const std::size_t ldt = plan.panel_ld[t];
+            T* pant = panels_.data() + plan.panel_off[t];
+            const std::size_t lda = plan.above_rows[t] + 1;
+            const supernode_plan::pair* pairs = plan.pairs.data() + plan.pair_ptr[t];
+            const std::size_t npairs = plan.pair_ptr[t + 1] - plan.pair_ptr[t];
 
-            if (k == ft) {
-                // Entering a new target supernode: refresh the pivot-row
-                // -> panel-slot map the matrix scatter below routes
-                // through.
-                for (std::size_t i = 0; i < wt; ++i)
-                    pos[ft + i] = static_cast<std::uint32_t>(i);
-                const std::size_t* rt = sn.rows.data() + sn.row_ptr[t];
-                const std::size_t mt = sn.row_ptr[t + 1] - sn.row_ptr[t];
-                for (std::size_t z = 0; z < mt; ++z)
-                    pos[rt[z]] = static_cast<std::uint32_t>(wt + z);
+            // Pivot row -> slot of this target: the pairs' spans index
+            // the above block, T's own rows its panel. Only the span rows
+            // of a pair's columns are ever read from the above block, so
+            // only those are cleared.
+            for (std::size_t q = 0; q < npairs; ++q) {
+                const supernode_plan::pair& pr = pairs[q];
+                const std::size_t m = sn.first[pr.source + 1] - pr.span;
+                for (std::size_t i = 0; i < m; ++i)
+                    pos[pr.span + i] = static_cast<std::uint32_t>(pr.above + i);
+                for (std::size_t v = pr.cols; v < pr.cols + pr.ncols; ++v)
+                    std::fill_n(above + plan.cols[v] * lda + pr.above, m, T{});
+            }
+            for (std::size_t i = 0; i < wt; ++i)
+                pos[ft + i] = static_cast<std::uint32_t>(i);
+            const std::size_t* rt = sn.rows.data() + sn.row_ptr[t];
+            for (std::size_t z = 0; z < ldt - wt; ++z)
+                pos[rt[z]] = static_cast<std::uint32_t>(wt + z);
+
+            std::fill(pant, pant + ldt * wt, T{});
+            for (std::size_t c = 0; c < wt; ++c) {
+                const std::size_t col = qperm[ft + c];
+                T* tc = pant + c * ldt;
+                for (std::size_t p = a.col_ptr()[col]; p < a.col_ptr()[col + 1]; ++p) {
+                    const std::size_t r = pinv[a.row_idx()[p]];
+                    if (r < ft)
+                        above[c * lda + pos[r]] += a.values()[p];
+                    else
+                        tc[pos[r]] += a.values()[p];
+                }
             }
 
-            // Scatter the matrix column: rows above the target into the
-            // work vector (consumed by the triangular solves below), the
-            // pivot row and everything under it straight into the freshly
-            // cleared panel column.
-            std::fill(pancol_t + (k - ft), pancol_t + ldt, T{});
-            const std::size_t col = qperm[k];
-            for (std::size_t p = a.col_ptr()[col]; p < a.col_ptr()[col + 1]; ++p) {
-                const std::size_t r = pinv[a.row_idx()[p]];
-                if (r < k)
-                    w[r] += a.values()[p];
-                else
-                    pancol_t[pos[r]] += a.values()[p];
-            }
+            for (std::size_t q = 0; q < npairs; ++q)
+                update_pair_(pairs[q], plan, sn, urow, above, lda, pant, ldt);
 
-            const std::size_t ulast = ucol_ptr[k + 1] - 1;
-            std::size_t p = ucol_ptr[k];
-            const sn_run* run = sn_runs_.data() + sn_run_ptr_[k];
-            const sn_run* const run_end = sn_runs_.data() + sn_run_ptr_[k + 1];
-            for (; run != run_end; ++run) {
-                const std::size_t j = run->j;
-                const std::size_t m = run->m;
-                const std::size_t msub = run->msub;
-                const bool inblk = j >= ft;
-                const std::uint32_t* sl = slot_cur;
-                if (!inblk)
-                    slot_cur += msub - run->wsub;
-
-                if (m == 1) {
-                    // Singleton span: no triangular solve, no staging —
-                    // exactly the column path's cost for this source.
-                    const T u0 = w[j];
-                    w[j] = T{};
-                    uval_[p] = u0;
-                    if (inblk) { // source is the target's own supernode
-                        pancol_t[j - ft] = u0;
-                        if (u0 != T{}) {
-                            // Diagonal tail and sub-rows are one
-                            // contiguous range in both panel columns.
-                            const T* lcol = panels_.data() + run->loff;
-                            mul_sub_(pancol_t + (k - ft), lcol + (k - ft), u0,
-                                     ldt - (k - ft));
-                        }
-                    } else if (u0 != T{} && msub != 0) {
-                        // Off-block singleton: everything it needs is in
-                        // the run record, touched only when the value
-                        // actually contributes.
-                        const std::size_t wsub = run->wsub;
-                        const T* lsub = panels_.data() + run->loff + (run->lds - msub);
-                        scatter_sub1_(w.data(), sn.rows.data() + run->rows, lsub, u0, wsub);
-                        panel_sub1_(pancol_t, sl, lsub + wsub, u0, msub - wsub);
-                    }
-                    ++p;
-                    continue;
-                }
-
-                const std::size_t jrel = run->jrel;
-                const std::size_t lds = run->lds;
-                const T* lrun = panels_.data() + run->loff; // span's first L column
-
-                // Dense unit-lower triangular solve with the trailing
-                // m x m sub-block of the source's diagonal block: yields
-                // this column's U values for the whole span. Contributing
-                // (nonzero) columns are collected as their values become
-                // final, so the update passes below skip exact zeros —
-                // including any structural-zero gap positions the relaxed
-                // partition padded into the span (their w is zero and
-                // every product feeding them is zero, so they stay 0.0).
-                T* u = sn_ubuf_.data();
-                for (std::size_t i = 0; i < m; ++i) {
-                    u[i] = w[j + i];
-                    w[j + i] = T{};
-                }
-                std::size_t* idx = sn_idx_.data();
-                std::size_t nc = 0;
-                for (std::size_t i = 0; i < m; ++i) {
-                    const T ui = u[i];
-                    if (inblk)
-                        pancol_t[j - ft + i] = ui;
-                    if (ui == T{})
-                        continue;
-                    idx[nc++] = i;
-                    mul_sub_(u + i + 1, lrun + i * lds + (jrel + i + 1), ui, m - i - 1);
-                }
-                // CSC stores only the structural subset of the span.
-                const std::size_t cnt = run->cnt;
-                if (cnt == m) {
-                    for (std::size_t i = 0; i < m; ++i)
-                        uval_[p + i] = u[i];
-                } else {
-                    for (std::size_t e = 0; e < cnt; ++e)
-                        uval_[p + e] = u[urow[p + e] - j];
-                }
-                p += cnt;
-                if (nc == 0)
-                    continue;
-
-                // In-block target update (source == target supernode):
-                // the diagonal tail and the shared sub-rows are one
-                // contiguous range of the panel columns, so the whole
-                // update is dense rank-2 streams — no staging, no
-                // indices.
-                if (inblk) {
-                    const std::size_t len = ldt - (k - ft);
-                    T* dst = pancol_t + (k - ft);
-                    const T* lc = lrun + (k - ft);
-                    std::size_t ii = 0;
-                    if (nc & 1) {
-                        mul_sub_(dst, lc + idx[0] * lds, u[idx[0]], len);
-                        ii = 1;
-                    }
-                    for (; ii + 1 < nc; ii += 2)
-                        mul_sub2_(dst, lc + idx[ii] * lds, u[idx[ii]],
-                                  lc + idx[ii + 1] * lds, u[idx[ii + 1]], len);
-                    continue;
-                }
-
-                // Rectangular update of an off-block source's sub-rows.
-                // One or two contributing columns scatter directly
-                // (staging passes would outweigh the saved scatters);
-                // more accumulate pairwise in a dense buffer (unit stride
-                // over each panel column) and drain once — rows above the
-                // target into the work vector, the rest into the target's
-                // panel column through the precomputed slots.
-                if (msub != 0) {
-                    const std::size_t wsub = run->wsub;
-                    const std::size_t* rows = sn.rows.data() + run->rows;
-                    const T* lsub0 = lrun + (lds - msub);
-                    if (nc == 1) {
-                        const T* l0 = lsub0 + idx[0] * lds;
-                        scatter_sub1_(w.data(), rows, l0, u[idx[0]], wsub);
-                        panel_sub1_(pancol_t, sl, l0 + wsub, u[idx[0]], msub - wsub);
-                    } else if (nc == 2) {
-                        const T* l0 = lsub0 + idx[0] * lds;
-                        const T* l1 = lsub0 + idx[1] * lds;
-                        scatter_sub2_(w.data(), rows, l0, u[idx[0]], l1, u[idx[1]], wsub);
-                        panel_sub2_(pancol_t, sl, l0 + wsub, u[idx[0]], l1 + wsub,
-                                    u[idx[1]], msub - wsub);
+            for (std::size_t c = 0; c < wt; ++c) {
+                const std::size_t k = ft + c;
+                // In-block span: the column's U rows inside T, from its
+                // first in-block entry up to the column itself, solved
+                // against T's own finished columns.
+                T* pancol_t = pant + c * ldt;
+                const std::size_t ulast = ucol_ptr[k + 1] - 1;
+                const std::size_t p0 = plan.u_split[k];
+                if (p0 < ulast) {
+                    const std::size_t jrel = urow[p0] - ft;
+                    const std::size_t m = c - jrel;
+                    const T* lrun = pant + jrel * ldt; // span's first L column
+                    if (m == 1) {
+                        // Singleton span: no triangular solve, and the
+                        // diagonal tail and sub-rows are one contiguous
+                        // range in both panel columns.
+                        const T u0 = pancol_t[jrel];
+                        uval_[p0] = u0;
+                        if (u0 != T{})
+                            mul_sub_(pancol_t + c, lrun + c, u0, ldt - c);
                     } else {
-                        T* tmp = sn_subtmp_.data();
-                        std::size_t ii;
-                        if (nc & 1) {
-                            mul_set_(tmp, lsub0 + idx[0] * lds, u[idx[0]], msub);
-                            ii = 1;
+                        // Dense unit-lower solve in place; contributing
+                        // (nonzero) columns are collected as their values
+                        // become final, so the update skips exact zeros.
+                        T* u = pancol_t + jrel;
+                        std::size_t* idx = sn_idx_.data();
+                        std::size_t nc = 0;
+                        for (std::size_t i = 0; i < m; ++i) {
+                            const T ui = u[i];
+                            if (ui == T{})
+                                continue;
+                            idx[nc++] = i;
+                            mul_sub_(u + i + 1, lrun + i * ldt + (jrel + i + 1), ui, m - i - 1);
+                        }
+                        // CSC stores only the structural subset of the span.
+                        const std::size_t cnt = ulast - p0;
+                        if (cnt == m) {
+                            for (std::size_t i = 0; i < m; ++i)
+                                uval_[p0 + i] = u[i];
                         } else {
-                            mul_set2_(tmp, lsub0 + idx[0] * lds, u[idx[0]],
-                                      lsub0 + idx[1] * lds, u[idx[1]], msub);
-                            ii = 2;
+                            for (std::size_t e = 0; e < cnt; ++e)
+                                uval_[p0 + e] = pancol_t[urow[p0 + e] - ft];
+                        }
+                        // The diagonal tail and the sub-rows: dense rank-2
+                        // streams down the panel column.
+                        const std::size_t len = ldt - c;
+                        T* dst = pancol_t + c;
+                        const T* lc = lrun + c;
+                        std::size_t ii = 0;
+                        if (nc & 1) {
+                            mul_sub_(dst, lc + idx[0] * ldt, u[idx[0]], len);
+                            ii = 1;
                         }
                         for (; ii + 1 < nc; ii += 2)
-                            mul_add2_(tmp, lsub0 + idx[ii] * lds, u[idx[ii]],
-                                      lsub0 + idx[ii + 1] * lds, u[idx[ii + 1]], msub);
-                        scatter_sub_acc_(w.data(), rows, tmp, wsub);
-                        panel_sub_acc_(pancol_t, sl, tmp + wsub, msub - wsub);
+                            mul_sub2_(dst, lc + idx[ii] * ldt, u[idx[ii]], lc + idx[ii + 1] * ldt,
+                                      u[idx[ii + 1]], len);
                     }
                 }
-            }
 
-            // The pivot accumulated in the panel; rows above it were all
-            // consumed by the runs, so the work vector is already clean
-            // either way.
-            const T pivot = pancol_t[k - ft];
-            if (pivot == T{})
-                throw numeric_error("numeric_lu: refactor hit a zero pivot at column "
-                                    + std::to_string(col));
-            uval_[ulast] = pivot;
-            const T rpivot = T{1.0} / pivot;
-            sn_rdiag_[k] = rpivot;
-            // Dense in-place scale of the panel's L region (padded
-            // positions hold exact zeros and stay zero), then gather the
-            // CSC L values from their panel slots.
-            for (std::size_t r = k - ft + 1; r < ldt; ++r)
-                pancol_t[r] = cmul_(pancol_t[r], rpivot);
-            for (std::size_t q = lcol_ptr[k]; q < lcol_ptr[k + 1]; ++q)
-                lval_[q] = pancol_t[lpanel_pos_[q]];
+                const T pivot = pancol_t[c];
+                if (pivot == T{})
+                    throw numeric_error("numeric_lu: refactor hit a zero pivot at column "
+                                        + std::to_string(qperm[k]));
+                uval_[ulast] = pivot;
+                const T rpivot = T{1.0} / pivot;
+                sn_rdiag_[k] = rpivot;
+                // Dense in-place scale of the panel's L region (padded
+                // positions hold exact zeros and stay zero), then gather
+                // the CSC L values from their panel slots.
+                for (std::size_t r = c + 1; r < ldt; ++r)
+                    pancol_t[r] = cmul_(pancol_t[r], rpivot);
+                for (std::size_t q = lcol_ptr[k]; q < lcol_ptr[k + 1]; ++q)
+                    lval_[q] = pancol_t[plan.lpanel_pos[q]];
+            }
         }
+    }
+
+    /// x[q] <- l^-1 x[q] for the pair's n columns of m values each; l is
+    /// the m x m unit-lower diagonal sub-block of a source panel (leading
+    /// dimension ldl). The portable loop (baseline builds, T = double, and
+    /// spans too short for the kernel call to pay) is the column path's
+    /// axpy order.
+    void trsm_(T* const* x, const T* l, std::size_t ldl, std::size_t m, std::size_t n) const noexcept
+    {
+        if constexpr (split_cplx_) {
+            if (snk_ok_ && m >= 4) {
+                snk::ztrsm(reinterpret_cast<double* const*>(x), reinterpret_cast<const double*>(l),
+                           ldl, m, n);
+                return;
+            }
+        }
+        for (std::size_t q = 0; q < n; ++q) {
+            T* xq = x[q];
+            for (std::size_t i = 0; i < m; ++i)
+                if (xq[i] != T{})
+                    mul_sub_(xq + i + 1, l + i * ldl + i + 1, xq[i], m - i - 1);
+        }
+    }
+
+    /// Step 2 of refactor_supernodal for one pair (S, T). The span's rows
+    /// of the above block hold, per target column, A's values minus the
+    /// earlier sources' updates; the unit-lower solve with S's diagonal
+    /// block turns them into U(span, T) in place, and their structural
+    /// entries go to CSC. A column that is all zero there solves to zeros
+    /// and drops out. The product L_sub(S) * U(span, T) of the remaining
+    /// columns is then subtracted into the above block and T's panel
+    /// through the pair's row map in one pass.
+    void update_pair_(const supernode_plan::pair& pr, const supernode_plan& plan,
+                      const supernode_partition& sn, const std::vector<std::size_t>& urow,
+                      T* above, std::size_t lda, T* pant, std::size_t ldt)
+    {
+        const std::size_t s = pr.source;
+        const std::size_t end = sn.first[s + 1];
+        const std::size_t lds = plan.panel_ld[s];
+        const std::size_t jrel = pr.span - sn.first[s];
+        const std::size_t m = end - pr.span;
+        const T* ls = panels_.data() + plan.panel_off[s] + jrel * lds; // span's first column
+        const std::uint32_t* cols = plan.cols.data() + pr.cols;
+        const std::size_t* ucsc = plan.ucsc.data() + pr.cols;
+        const T* lsub = ls + sn.width(s);
+        const std::uint32_t* map = plan.rowmap.data() + pr.map;
+        if (m == 1) {
+            // A one-row span (half of all pairs on meshes): U(span, T) is
+            // that row itself, one CSC entry per column, and the product
+            // is a rank-1 update per column.
+            for (std::size_t q = 0; q < pr.ncols; ++q) {
+                const T u = above[cols[q] * lda + pr.above];
+                uval_[ucsc[q]] = u;
+                if (u == T{})
+                    continue;
+                T* ac = above + cols[q] * lda;
+                for (std::size_t r = 0; r < pr.nabove; ++r)
+                    ac[map[r]] -= cmul_(lsub[r], u);
+                T* tc = pant + cols[q] * ldt;
+                for (std::size_t r = pr.nabove; r < pr.nrows; ++r)
+                    tc[map[r]] -= cmul_(lsub[r], u);
+            }
+            return;
+        }
+        T** ucol = sn_ucol_.data();
+        T** dst = sn_dst_.data();
+        std::size_t nc = 0;
+        for (std::size_t q = 0; q < pr.ncols; ++q) {
+            T* x = above + cols[q] * lda + pr.above;
+            if (std::all_of(x, x + m, [](const T& v) { return v == T{}; })) {
+                for (std::size_t p = ucsc[q]; urow[p] < end; ++p)
+                    uval_[p] = T{};
+                continue;
+            }
+            ucol[nc] = x;
+            dst[nc] = above + cols[q] * lda;
+            sn_live_[nc++] = static_cast<std::uint32_t>(q);
+        }
+        if (nc == 0)
+            return;
+        trsm_(ucol, ls + jrel, lds, m, nc);
+        for (std::size_t v = 0; v < nc; ++v) {
+            const std::size_t q = sn_live_[v];
+            for (std::size_t p = ucsc[q]; urow[p] < end; ++p)
+                uval_[p] = ucol[v][urow[p] - pr.span];
+            dst[nc + v] = pant + cols[q] * ldt;
+        }
+        product_sub_(dst, pr.nabove, map, lsub, lds, ucol, pr.nrows, nc, m);
     }
 
 public:
@@ -904,14 +828,15 @@ public:
     [[nodiscard]] double growth() const noexcept { return growth_; }
 
     /// Select the batched back-solve kernel (default scalar). The SIMD
-    /// kernel grows its split-plane scratch lazily to the largest batch
-    /// seen, so after the first batch of a given width the solve loop is
-    /// allocation-free again.
+    /// kernel runs in supernodal mode only (column mode solves with the
+    /// scalar kernel either way); it grows its split-plane scratch lazily
+    /// to the largest batch seen, so after the first batch of a given
+    /// width the solve loop is allocation-free again.
     void set_batch_kernel(batch_kernel k) noexcept { kernel_ = k; }
     [[nodiscard]] batch_kernel kernel() const noexcept { return kernel_; }
 
     /// Enable the supernodal/blocked numeric path: refactor() runs the
-    /// blocked elimination over the symbolic supernode partition and
+    /// pair-wise blocked elimination over the symbolic supernode plan and
     /// solve_batch's SIMD kernel walks dense panels per supernode
     /// instead of CSC columns. The CSC value arrays are maintained in
     /// both modes, so scalar solves (and the const allocating solve())
@@ -929,140 +854,22 @@ public:
     [[nodiscard]] bool supernodal() const noexcept { return snmode_; }
 
 private:
-    /// One-time panel bookkeeping: per-supernode panel offsets/leading
-    /// dimensions, the CSC-L-entry -> panel-row map, and the per-column
-    /// split of U entries into off-block and in-block halves.
+    /// Allocate the panels and the refactor scratch. The index
+    /// bookkeeping lives in the symbolic object's shared plan, so this
+    /// only sizes buffers from it.
     void init_supernodal()
     {
         const std::size_t n = sym_->size();
-        const supernode_partition& sn = sym_->supernodes();
-        const std::size_t ns = sn.count();
-        panel_off_.assign(ns + 1, 0);
-        panel_ld_.assign(ns, 0);
-        std::size_t max_w = 1;
-        std::size_t max_sub = 0;
-        for (std::size_t s = 0; s < ns; ++s) {
-            const std::size_t w = sn.width(s);
-            const std::size_t m = sn.sub_rows(s);
-            panel_ld_[s] = w + m;
-            panel_off_[s + 1] = panel_off_[s] + panel_ld_[s] * w;
-            max_w = std::max(max_w, w);
-            max_sub = std::max(max_sub, m);
-        }
-        panels_.assign(panel_off_[ns], T{});
-        sn_ubuf_.resize(max_w);
-        sn_subtmp_.resize(max_sub);
-        sn_idx_.resize(max_w);
-        sn_rdiag_.assign(n, T{});
-        sn_max_sub_ = max_sub;
-
-        // Panel row of every CSC L entry within its column's supernode:
-        // in-block rows map to their offset in the diagonal block,
-        // sub-rows to width + their slot in the supernode's shared
-        // (sorted) sub-row list.
-        const auto& lcol_ptr = sym_->lcol_ptr();
-        const auto& lrow = sym_->lrow();
-        lpanel_pos_.resize(lrow.size());
-        std::vector<std::size_t> slot(n, 0);
-        for (std::size_t s = 0; s < ns; ++s) {
-            const std::size_t f = sn.first[s];
-            const std::size_t e = sn.first[s + 1];
-            const std::size_t w = sn.width(s);
-            for (std::size_t r = sn.row_ptr[s]; r < sn.row_ptr[s + 1]; ++r)
-                slot[sn.rows[r]] = w + (r - sn.row_ptr[s]);
-            for (std::size_t k = f; k < e; ++k)
-                for (std::size_t p = lcol_ptr[k]; p < lcol_ptr[k + 1]; ++p) {
-                    const std::size_t row = lrow[p];
-                    lpanel_pos_[p] = row < e ? row - f : slot[row];
-                }
-        }
-
-        // First in-block U entry of each column (rows >= the column's
-        // supernode start); entries before it are off-block and stay on
-        // the CSC back-solve path.
-        const auto& ucol_ptr = sym_->ucol_ptr();
-        const auto& urow = sym_->urow();
-        u_split_.resize(n);
-        for (std::size_t k = 0; k < n; ++k) {
-            const std::size_t f = sn.first[sn.col_super[k]];
-            std::size_t p = ucol_ptr[k];
-            const std::size_t ulast = ucol_ptr[k + 1] - 1;
-            while (p < ulast && urow[p] < f)
-                ++p;
-            u_split_[k] = p;
-        }
-
-        // Flat run partition of every column's off-diagonal U entries:
-        // group the (sorted) entries by source supernode and record each
-        // group's dense span — from its first entry to the source's reach
-        // end (the supernode's last column; the diagonal block closes the
-        // reach), or just before the target column when the source is the
-        // target's own supernode. With the strict partition every span
-        // position is a CSC entry (cnt == m); relaxed amalgamation leaves
-        // structural-zero gaps the dense solve carries as exact zeros.
-        // Purely symbolic, so derived once here instead of re-walking
-        // urow/col_super on every refactor.
-        sn_run_ptr_.assign(n + 1, 0);
-        sn_runs_.clear();
-        sn_runs_.reserve(urow.size() / 2);
-        sn_slots_.clear();
+        const supernode_plan& plan = sym_->plan();
+        panels_.assign(plan.panel_off.back(), T{});
+        sn_above_.assign(plan.max_above, T{});
+        sn_prod_.assign(plan.max_sub, T{});
+        sn_ucol_.assign(plan.max_width, nullptr);
+        sn_dst_.assign(2 * plan.max_width, nullptr);
+        sn_live_.assign(plan.max_width, 0);
+        sn_idx_.assign(plan.max_width, 0);
         sn_pos_.assign(n, 0);
-        // Slot map of the current TARGET supernode, maintained while the
-        // column sweep below crosses supernode boundaries (the refactor
-        // rebuilds the same map at run time for the matrix scatter). The
-        // stamp marks which rows the current map actually covers: a
-        // relaxed source's union sub-rows can include rows outside the
-        // target's pattern — their deposits are exact zeros, so they are
-        // routed to the (harmless) pivot slot rather than a stale index.
-        std::vector<std::size_t> pos_stamp(n, 0);
-        for (std::size_t k = 0; k < n; ++k) {
-            const std::size_t t = sn.col_super[k];
-            if (k == sn.first[t]) {
-                const std::size_t w = sn.width(t);
-                for (std::size_t i = 0; i < w; ++i) {
-                    sn_pos_[sn.first[t] + i] = static_cast<std::uint32_t>(i);
-                    pos_stamp[sn.first[t] + i] = t + 1;
-                }
-                for (std::size_t r = sn.row_ptr[t]; r < sn.row_ptr[t + 1]; ++r) {
-                    sn_pos_[sn.rows[r]] =
-                        static_cast<std::uint32_t>(w + (r - sn.row_ptr[t]));
-                    pos_stamp[sn.rows[r]] = t + 1;
-                }
-            }
-            const std::size_t ulast = ucol_ptr[k + 1] - 1;
-            std::size_t p = ucol_ptr[k];
-            while (p < ulast) {
-                const std::size_t j = urow[p];
-                const std::size_t s = sn.col_super[j];
-                const std::size_t run_end = s == t ? k : sn.first[s + 1];
-                std::size_t cnt = 1;
-                while (p + cnt < ulast && urow[p + cnt] < run_end)
-                    ++cnt;
-                const std::size_t jrel = j - sn.first[s];
-                const std::size_t loff = panel_off_[s] + jrel * panel_ld_[s];
-                // Split an off-block source's sub-rows at the target
-                // column: rows above it update the work vector, rows at
-                // or below it drain into the target's panel column, so
-                // their slots are emitted here once instead of resolved
-                // per refactor. In-block sources are fully dense against
-                // the target panel and need neither.
-                std::size_t wsub = 0;
-                if (s != t) {
-                    const std::size_t* rs = sn.rows.data() + sn.row_ptr[s];
-                    const std::size_t ms = sn.sub_rows(s);
-                    while (wsub < ms && rs[wsub] < k)
-                        ++wsub;
-                    for (std::size_t z = wsub; z < ms; ++z)
-                        sn_slots_.push_back(pos_stamp[rs[z]] == t + 1
-                                                ? sn_pos_[rs[z]]
-                                                : static_cast<std::uint32_t>(k - sn.first[t]));
-                }
-                sn_runs_.push_back({j, run_end - j, cnt, jrel, loff, panel_ld_[s],
-                                    sn.sub_rows(s), sn.row_ptr[s], wsub});
-                p += cnt;
-            }
-            sn_run_ptr_[k + 1] = sn_runs_.size();
-        }
+        sn_rdiag_.assign(n, T{});
     }
 
     /// Fill the dense panels from the CSC values (pure data movement);
@@ -1072,15 +879,16 @@ private:
     {
         const std::size_t n = sym_->size();
         const supernode_partition& sn = sym_->supernodes();
+        const supernode_plan& plan = sym_->plan();
         const auto& lcol_ptr = sym_->lcol_ptr();
         const auto& ucol_ptr = sym_->ucol_ptr();
         const auto& urow = sym_->urow();
         for (std::size_t k = 0; k < n; ++k) {
             const std::size_t t = sn.col_super[k];
             const std::size_t ft = sn.first[t];
-            T* pancol = panels_.data() + panel_off_[t] + (k - ft) * panel_ld_[t];
+            T* pancol = panels_.data() + plan.panel_off[t] + (k - ft) * plan.panel_ld[t];
             const std::size_t ulast = ucol_ptr[k + 1] - 1;
-            for (std::size_t p = u_split_[k]; p < ulast; ++p)
+            for (std::size_t p = plan.u_split[k]; p < ulast; ++p)
                 pancol[urow[p] - ft] = uval_[p];
             pancol[k - ft] = uval_[ulast];
             // Reciprocal pivot for the blocked back solve; a zero pivot
@@ -1088,7 +896,7 @@ private:
             // would have.
             sn_rdiag_[k] = T{1.0} / uval_[ulast];
             for (std::size_t p = lcol_ptr[k]; p < lcol_ptr[k + 1]; ++p)
-                pancol[lpanel_pos_[p]] = lval_[p];
+                pancol[plan.lpanel_pos[p]] = lval_[p];
         }
     }
 
@@ -1104,11 +912,8 @@ public:
     void solve_batch(const T* const* b, std::size_t nrhs, T* x)
     {
         if constexpr (std::is_same_v<T, std::complex<double>>) {
-            if (kernel_ == batch_kernel::simd && nrhs >= 2) {
-                if (snmode_)
-                    solve_batch_blocked(b, nrhs, x);
-                else
-                    solve_batch_simd(b, nrhs, x);
+            if (kernel_ == batch_kernel::simd && snmode_ && nrhs >= 2) {
+                solve_batch_blocked(b, nrhs, x);
                 return;
             }
         }
@@ -1171,99 +976,13 @@ private:
         }
     }
 
-    /// SIMD batch kernel (std::complex<double> only): the batch lives in
-    /// two split real/imag double planes laid out rhs-contiguously
-    /// (lane r of pivot row i at [i * nrhs + r]), so every factor entry is
-    /// loaded once per column while the inner loop over the batch is a
-    /// unit-stride fused multiply-add chain the compiler vectorizes
-    /// across right-hand sides. A column whose lanes are all zero skips
-    /// its update loop entirely (the injection right-hand sides of the
-    /// stability sweeps are mostly zeros). The U diagonal still divides
-    /// through std::complex so both kernels share the same (robustly
-    /// scaled) complex division.
-    void solve_batch_simd(const T* const* b, std::size_t nrhs, T* x)
-    {
-        const std::size_t n = sym_->size();
-        const auto& pinv = sym_->pinv();
-        const auto& qperm = sym_->q();
-        const auto& lcol_ptr = sym_->lcol_ptr();
-        const auto& lrow = sym_->lrow();
-        const auto& ucol_ptr = sym_->ucol_ptr();
-        const auto& urow = sym_->urow();
-
-        if (plane_re_.size() < n * nrhs) {
-            plane_re_.resize(n * nrhs);
-            plane_im_.resize(n * nrhs);
-        }
-        double* __restrict xr = plane_re_.data();
-        double* __restrict xi = plane_im_.data();
-
-        // Scatter into pivot order, splitting the complex lanes.
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t base = pinv[i] * nrhs;
-            for (std::size_t r = 0; r < nrhs; ++r) {
-                xr[base + r] = b[r][i].real();
-                xi[base + r] = b[r][i].imag();
-            }
-        }
-        // Forward solve with unit-diagonal L.
-        for (std::size_t c = 0; c < n; ++c) {
-            const std::size_t cb = c * nrhs;
-            bool any = false;
-            for (std::size_t r = 0; r < nrhs; ++r)
-                any = any || xr[cb + r] != 0.0 || xi[cb + r] != 0.0;
-            if (!any)
-                continue;
-            const std::size_t pe = lcol_ptr[c + 1];
-            for (std::size_t p = lcol_ptr[c]; p < pe; ++p) {
-                const double lr = lval_[p].real();
-                const double li = lval_[p].imag();
-                const std::size_t rb = lrow[p] * nrhs;
-                for (std::size_t r = 0; r < nrhs; ++r) {
-                    const double ar = xr[cb + r];
-                    const double ai = xi[cb + r];
-                    xr[rb + r] -= lr * ar - li * ai;
-                    xi[rb + r] -= lr * ai + li * ar;
-                }
-            }
-        }
-        // Back solve with U (diagonal stored last in each column).
-        for (std::size_t c = n; c-- > 0;) {
-            const std::size_t last = ucol_ptr[c + 1] - 1;
-            const T diag = uval_[last];
-            const std::size_t cb = c * nrhs;
-            bool any = false;
-            for (std::size_t r = 0; r < nrhs; ++r) {
-                const T v = T{xr[cb + r], xi[cb + r]} / diag;
-                xr[cb + r] = v.real();
-                xi[cb + r] = v.imag();
-                any = any || v != T{};
-            }
-            if (!any)
-                continue;
-            for (std::size_t p = ucol_ptr[c]; p < last; ++p) {
-                const double ur = uval_[p].real();
-                const double ui = uval_[p].imag();
-                const std::size_t rb = urow[p] * nrhs;
-                for (std::size_t r = 0; r < nrhs; ++r) {
-                    const double ar = xr[cb + r];
-                    const double ai = xi[cb + r];
-                    xr[rb + r] -= ur * ar - ui * ai;
-                    xi[rb + r] -= ur * ai + ui * ar;
-                }
-            }
-        }
-        // Undo the column ordering while re-interleaving the planes.
-        for (std::size_t r = 0; r < nrhs; ++r) {
-            T* xc = x + r * n;
-            for (std::size_t c = 0; c < n; ++c)
-                xc[qperm[c]] = T{xr[c * nrhs + r], xi[c * nrhs + r]};
-        }
-    }
-
-    /// Blocked split-complex batch kernel (supernodal mode): same plane
-    /// layout and zero-lane skipping as solve_batch_simd, but the L
-    /// forward pass walks dense panels per supernode — a dense
+    /// Blocked split-complex batch kernel (supernodal mode, std::complex
+    /// <double> only): the batch lives in two split real/imag double
+    /// planes laid out rhs-contiguously (lane r of pivot row i at
+    /// [i * nrhs + r]), so the inner loops over the batch are unit-stride
+    /// and a pivot row whose lanes are all zero skips its update (the
+    /// injection right-hand sides of the stability sweeps are mostly
+    /// zeros). The L forward pass walks dense panels per supernode — a dense
     /// unit-lower solve on the diagonal block, the rectangular sub-row
     /// update accumulated into contiguous scratch planes and scattered
     /// ONCE per supernode — and the U backward pass solves each
@@ -1278,15 +997,16 @@ private:
         const auto& ucol_ptr = sym_->ucol_ptr();
         const auto& urow = sym_->urow();
         const supernode_partition& sn = sym_->supernodes();
+        const supernode_plan& plan = sym_->plan();
         const std::size_t ns = sn.count();
 
         if (plane_re_.size() < n * nrhs) {
             plane_re_.resize(n * nrhs);
             plane_im_.resize(n * nrhs);
         }
-        if (sn_plane_tr_.size() < sn_max_sub_ * nrhs) {
-            sn_plane_tr_.resize(sn_max_sub_ * nrhs);
-            sn_plane_ti_.resize(sn_max_sub_ * nrhs);
+        if (sn_plane_tr_.size() < plan.max_sub * nrhs) {
+            sn_plane_tr_.resize(plan.max_sub * nrhs);
+            sn_plane_ti_.resize(plan.max_sub * nrhs);
         }
         double* __restrict xr = plane_re_.data();
         double* __restrict xi = plane_im_.data();
@@ -1306,8 +1026,8 @@ private:
             const std::size_t f = sn.first[s];
             const std::size_t w = sn.width(s);
             const std::size_t msub = sn.sub_rows(s);
-            const std::size_t ld = panel_ld_[s];
-            const T* pan = panels_.data() + panel_off_[s];
+            const std::size_t ld = plan.panel_ld[s];
+            const T* pan = panels_.data() + plan.panel_off[s];
             bool block_any = false;
             for (std::size_t c = f; c < f + w; ++c) {
                 const std::size_t cb = c * nrhs;
@@ -1378,8 +1098,8 @@ private:
         for (std::size_t s = ns; s-- > 0;) {
             const std::size_t f = sn.first[s];
             const std::size_t w = sn.width(s);
-            const std::size_t ld = panel_ld_[s];
-            const T* pan = panels_.data() + panel_off_[s];
+            const std::size_t ld = plan.panel_ld[s];
+            const T* pan = panels_.data() + plan.panel_off[s];
             for (std::size_t c = f + w; c-- > f;) {
                 const std::size_t cb = c * nrhs;
                 const T* pancol = pan + (c - f) * ld;
@@ -1422,7 +1142,7 @@ private:
                         xi[rb + r] -= ur * ai + ui * ar;
                     }
                 }
-                for (std::size_t p = ucol_ptr[c]; p < u_split_[c]; ++p) {
+                for (std::size_t p = ucol_ptr[c]; p < plan.u_split[c]; ++p) {
                     const double ur = uval_[p].real();
                     const double ui = uval_[p].imag();
                     const std::size_t rb = urow[p] * nrhs;
@@ -1497,8 +1217,14 @@ public:
     }
 
 private:
-    [[nodiscard]] static double max_l1(const std::vector<T>& v) noexcept
+    /// Largest |re| + |im| of v, NaNs ignored. The maximum does not depend
+    /// on the order it is taken in, so the vector kernel returns the same
+    /// value as the loop.
+    [[nodiscard]] double max_l1(const std::vector<T>& v) const noexcept
     {
+        if constexpr (split_cplx_)
+            if (snk_ok_)
+                return snk::max_l1(reinterpret_cast<const double*>(v.data()), v.size());
         double m = 0.0;
         for (const T& x : v) {
             const double mag = std::abs(std::real(x)) + std::abs(std::imag(x));
@@ -1511,62 +1237,31 @@ private:
     std::shared_ptr<const symbolic_lu<T>> sym_;
     std::vector<T> lval_;
     std::vector<T> uval_;
-    std::vector<T> work_;    ///< refactor accumulator (pivot space)
+    std::vector<T> work_;    ///< column refactor accumulator (pivot space)
     std::vector<T> scratch_; ///< permutation staging for batched solves
     std::vector<T> probe_x_; ///< factor(): probe solution
     std::vector<T> probe_r_; ///< factor(): probe SpMV
     batch_kernel kernel_ = batch_kernel::scalar;
-    std::vector<double> plane_re_; ///< SIMD kernel: real lanes, grown lazily
-    std::vector<double> plane_im_; ///< SIMD kernel: imaginary lanes
+    std::vector<double> plane_re_; ///< blocked solve: real lanes, grown lazily
+    std::vector<double> plane_im_; ///< blocked solve: imaginary lanes
     double growth_ = 0.0;
     // Supernodal mode (set_supernodal). Panels are column-major dense
-    // blocks, one per supernode: rows 0..w-1 hold the diagonal block
-    // (U upper triangle including the diagonal, L strictly lower, unit
-    // diagonal implicit), rows w..w+msub-1 the rectangular L sub-rows in
-    // the partition's shared sorted order.
+    // blocks, one per supernode, laid out by the symbolic plan: rows
+    // 0..w-1 hold the diagonal block (U upper triangle including the
+    // diagonal, L strictly lower, unit diagonal implicit), rows
+    // w..w+msub-1 the rectangular L sub-rows in the partition's shared
+    // sorted order.
     bool snmode_ = false;
     std::vector<T> panels_;
-    std::vector<std::size_t> panel_off_; ///< supernode -> panel start
-    std::vector<std::size_t> panel_ld_;  ///< supernode -> leading dimension
-    std::vector<std::size_t> lpanel_pos_; ///< CSC L entry -> panel row
-    std::vector<std::size_t> u_split_;    ///< column -> first in-block U entry
-    std::vector<T> sn_ubuf_;   ///< refactor: gathered run of U values
-    std::vector<T> sn_subtmp_; ///< refactor: accumulated sub-row update
-    std::vector<std::size_t> sn_idx_; ///< refactor: contributing columns of a run
-    /// One symbolic run of a column's off-diagonal U entries: the `cnt`
-    /// CSC entries falling inside one source supernode, solved as the
-    /// dense span of `m` pivot rows from `j` to the source's reach end.
-    /// Under relaxed amalgamation the span may cover structural zeros
-    /// (cnt < m); those positions hold exact 0.0 throughout — the padded
-    /// panel L is zero, so the dense solve reproduces the strict values
-    /// bit-for-bit and zero lanes skip the update passes. The source
-    /// geometry the update needs is denormalized into the record (one
-    /// cache line) so the refactor streams a flat array instead of
-    /// chasing six per-supernode arrays per run — the singleton-run walk
-    /// was lookup-bound, not flop-bound.
-    struct sn_run {
-        std::size_t j;    ///< first pivot row of the span
-        std::size_t m;    ///< span width (source columns consumed)
-        std::size_t cnt;  ///< CSC U entries in the span (== m when gapless)
-        std::size_t jrel; ///< j - first column of the source supernode
-        std::size_t loff; ///< panels_ offset of the span's first L column
-        std::size_t lds;  ///< source panel leading dimension
-        std::size_t msub; ///< source sub-row count
-        std::size_t rows; ///< offset of the source's sub-row list in sn.rows
-        std::size_t wsub; ///< sub-rows above the target column (work-vector part)
-    };
-    std::vector<sn_run> sn_runs_;         ///< refactor: flat run partition
-    std::vector<std::size_t> sn_run_ptr_; ///< column -> range in sn_runs_
-    /// Per off-block run, the target-panel slots of its sub-rows at or
-    /// below the target column (rows[wsub..msub)), laid out in run order:
-    /// those deposits land in the target's dense panel column instead of
-    /// the work vector, so the hottest scatter walks an L1-resident
-    /// column with a precomputed, streamed index list.
-    std::vector<std::uint32_t> sn_slots_;
-    std::vector<std::uint32_t> sn_pos_; ///< refactor: pivot row -> target panel slot
+    std::vector<T> sn_above_;  ///< refactor: the current target's above block
+    std::vector<T> sn_prod_;   ///< refactor: one product column (portable path)
+    std::vector<T*> sn_ucol_;  ///< refactor: a pair's nonzero U(span, T) columns
+    std::vector<T*> sn_dst_;   ///< refactor: their above-block, then panel, column bases
+    std::vector<std::uint32_t> sn_live_; ///< refactor: their indices in the pair's columns
+    std::vector<std::size_t> sn_idx_;    ///< refactor: contributing columns of an in-block span
+    std::vector<std::uint32_t> sn_pos_;  ///< refactor: pivot row -> slot of the current target
     std::vector<T> sn_rdiag_;  ///< blocked solve: per-column 1/pivot
     bool snk_ok_ = snk::available(); ///< AVX2+FMA kernel TU usable
-    std::size_t sn_max_sub_ = 0;
     std::vector<double> sn_plane_tr_; ///< blocked solve: sub-row lanes (re)
     std::vector<double> sn_plane_ti_; ///< blocked solve: sub-row lanes (im)
 };

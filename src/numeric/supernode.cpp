@@ -161,4 +161,143 @@ supernode_partition detect_supernodes(std::size_t n, const std::vector<std::size
     return amalgamate(n, sn, max_width, relax_zeros, relax_fill);
 }
 
+supernode_plan plan_supernodal_lu(const supernode_partition& sn,
+                                  const std::vector<std::size_t>& lcol_ptr,
+                                  const std::vector<std::size_t>& lrow,
+                                  const std::vector<std::size_t>& ucol_ptr,
+                                  const std::vector<std::size_t>& urow)
+{
+    supernode_plan plan;
+    const std::size_t n = sn.col_super.size();
+    const std::size_t ns = sn.count();
+
+    plan.panel_off.assign(ns + 1, 0);
+    plan.panel_ld.assign(ns, 0);
+    for (std::size_t s = 0; s < ns; ++s) {
+        const std::size_t w = sn.width(s);
+        plan.panel_ld[s] = w + sn.sub_rows(s);
+        plan.panel_off[s + 1] = plan.panel_off[s] + plan.panel_ld[s] * w;
+        plan.max_width = std::max(plan.max_width, w);
+        plan.max_sub = std::max(plan.max_sub, sn.sub_rows(s));
+    }
+
+    // Panel row of every CSC L entry within its column's supernode:
+    // in-block rows map to their offset in the diagonal block, sub-rows
+    // to width + their slot in the supernode's sorted sub-row list.
+    plan.lpanel_pos.resize(lrow.size());
+    std::vector<std::size_t> slot(n, 0);
+    for (std::size_t s = 0; s < ns; ++s) {
+        const std::size_t f = sn.first[s];
+        const std::size_t e = sn.first[s + 1];
+        for (std::size_t r = sn.row_ptr[s]; r < sn.row_ptr[s + 1]; ++r)
+            slot[sn.rows[r]] = (e - f) + (r - sn.row_ptr[s]);
+        for (std::size_t k = f; k < e; ++k)
+            for (std::size_t p = lcol_ptr[k]; p < lcol_ptr[k + 1]; ++p)
+                plan.lpanel_pos[p] = lrow[p] < e ? lrow[p] - f : slot[lrow[p]];
+    }
+
+    // First in-block U entry of each column (rows >= its supernode's
+    // first column); the entries before it come from other supernodes.
+    plan.u_split.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t f = sn.first[sn.col_super[k]];
+        std::size_t p = ucol_ptr[k];
+        const std::size_t ulast = ucol_ptr[k + 1] - 1;
+        while (p < ulast && urow[p] < f)
+            ++p;
+        plan.u_split[k] = p;
+    }
+
+    plan.pair_ptr.assign(ns + 1, 0);
+    plan.above_rows.assign(ns, 0);
+    // (source, target column, first row of the column's entries in it,
+    // that entry's CSC position).
+    struct hit {
+        std::size_t source;
+        std::size_t col;
+        std::size_t row;
+        std::size_t p;
+    };
+    std::vector<hit> hits;
+    // Destinations of the current target's rows; a stamp of t + 1 marks
+    // the rows target t actually covers.
+    std::vector<std::uint32_t> above_at(n, 0);
+    std::vector<std::uint32_t> panel_at(n, 0);
+    std::vector<std::size_t> above_stamp(n, 0);
+    std::vector<std::size_t> panel_stamp(n, 0);
+    for (std::size_t t = 0; t < ns; ++t) {
+        const std::size_t ft = sn.first[t];
+        const std::size_t et = sn.first[t + 1];
+        const std::size_t wt = et - ft;
+        hits.clear();
+        for (std::size_t k = ft; k < et; ++k) {
+            std::size_t p = ucol_ptr[k];
+            const std::size_t end = plan.u_split[k];
+            while (p < end) {
+                const std::size_t s = sn.col_super[urow[p]];
+                hits.push_back({s, k - ft, urow[p], p});
+                while (p < end && urow[p] < sn.first[s + 1])
+                    ++p;
+            }
+        }
+        std::sort(hits.begin(), hits.end(), [](const hit& x, const hit& y) {
+            return x.source != y.source ? x.source < y.source : x.col < y.col;
+        });
+
+        const std::size_t first_pair = plan.pairs.size();
+        std::size_t na = 0;
+        for (std::size_t h = 0; h < hits.size();) {
+            supernode_plan::pair pr{};
+            pr.source = hits[h].source;
+            pr.span = hits[h].row;
+            pr.above = na;
+            pr.cols = plan.cols.size();
+            for (; h < hits.size() && hits[h].source == pr.source; ++h) {
+                pr.span = std::min(pr.span, hits[h].row);
+                plan.cols.push_back(static_cast<std::uint32_t>(hits[h].col));
+                plan.ucsc.push_back(hits[h].p);
+            }
+            pr.ncols = plan.cols.size() - pr.cols;
+            const std::size_t m = sn.first[pr.source + 1] - pr.span;
+            for (std::size_t r = pr.span; r < pr.span + m; ++r) {
+                above_at[r] = static_cast<std::uint32_t>(na + (r - pr.span));
+                above_stamp[r] = t + 1;
+            }
+            na += m;
+            plan.pairs.push_back(pr);
+        }
+        plan.pair_ptr[t + 1] = plan.pairs.size();
+        plan.above_rows[t] = na;
+        if (na != 0)
+            plan.max_above = std::max(plan.max_above, (na + 1) * wt);
+
+        for (std::size_t i = 0; i < wt; ++i) {
+            panel_at[ft + i] = static_cast<std::uint32_t>(i);
+            panel_stamp[ft + i] = t + 1;
+        }
+        for (std::size_t z = sn.row_ptr[t]; z < sn.row_ptr[t + 1]; ++z) {
+            panel_at[sn.rows[z]] = static_cast<std::uint32_t>(wt + (z - sn.row_ptr[t]));
+            panel_stamp[sn.rows[z]] = t + 1;
+        }
+        const std::size_t last_row = sn.sub_rows(t) != 0 ? sn.rows[sn.row_ptr[t + 1] - 1] : et - 1;
+        for (std::size_t q = first_pair; q < plan.pairs.size(); ++q) {
+            supernode_plan::pair& pr = plan.pairs[q];
+            const auto rs = sn.rows.begin() + static_cast<std::ptrdiff_t>(sn.row_ptr[pr.source]);
+            const auto re = sn.rows.begin() + static_cast<std::ptrdiff_t>(sn.row_ptr[pr.source + 1]);
+            const auto cover = std::upper_bound(rs, re, last_row);
+            pr.nrows = static_cast<std::size_t>(cover - rs);
+            pr.nabove = static_cast<std::size_t>(std::lower_bound(rs, cover, ft) - rs);
+            pr.map = plan.rowmap.size();
+            for (auto r = rs; r != cover; ++r) {
+                if (*r < ft)
+                    plan.rowmap.push_back(above_stamp[*r] == t + 1 ? above_at[*r]
+                                                                    : static_cast<std::uint32_t>(na));
+                else
+                    plan.rowmap.push_back(panel_stamp[*r] == t + 1 ? panel_at[*r] : 0);
+            }
+        }
+    }
+    return plan;
+}
+
 } // namespace acstab::numeric

@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "common/error.h"
+#include "engine/adaptive_sweep.h"
 #include "numeric/interpolation.h"
 #include "spice/units.h"
 
@@ -62,8 +63,10 @@ cli_options parse_cli_options(int argc, char** argv, bool allow_positionals)
             opt.threads = need_count(key);
         else if (key == "--adaptive")
             opt.adaptive = true;
-        else if (key == "--fit-tol")
+        else if (key == "--fit-tol") {
             opt.fit_tol = spice::parse_spice_number(need_value(key));
+            engine::check_fit_tol(opt.fit_tol, key);
+        }
         else if (key == "--anchors-per-decade")
             opt.anchors_per_decade = need_count(key);
         else if (key == "--size")

@@ -475,4 +475,36 @@ TEST(adaptive_sweep, validates_inputs)
                  analysis_error); // wrong RHS length
 }
 
+TEST(adaptive_sweep, fit_tol_is_bounded_by_the_accuracy_contract)
+{
+    // Above max_fit_tol the model confirms itself on too few solves and
+    // the plot reads a wrong damping (rlc_tank at 10: zeta 0.0116 against
+    // 0.2025), so the sweep refuses it; at the bound itself it keeps the
+    // accuracy contract against the fixed grid.
+    spice::parsed_netlist net = spice::parse_netlist_file(netlist("rlc_tank.sp"));
+    core::stability_options opt;
+    opt.sweep.fstart = 1e4;
+    opt.sweep.fstop = 1e8;
+    opt.adaptive = true;
+    for (const real tol : {0.0, -1e-6, 0.011, 0.1, 10.0}) {
+        opt.fit_tol = tol;
+        core::stability_analyzer an(net.ckt, opt);
+        try {
+            (void)an.analyze_node("tank");
+            ADD_FAILURE() << "fit_tol " << tol << " was accepted";
+        } catch (const analysis_error& e) {
+            EXPECT_NE(std::string(e.what()).find("fit_tol"), std::string::npos) << e.what();
+        }
+    }
+
+    opt.fit_tol = engine::max_fit_tol;
+    const core::node_stability bound = core::stability_analyzer(net.ckt, opt).analyze_node("tank");
+    opt.adaptive = false;
+    const core::node_stability fixed = core::stability_analyzer(net.ckt, opt).analyze_node("tank");
+    ASSERT_TRUE(bound.has_peak);
+    ASSERT_TRUE(fixed.has_peak);
+    EXPECT_NEAR(bound.dominant.freq_hz, fixed.dominant.freq_hz, 0.01 * fixed.dominant.freq_hz);
+    EXPECT_NEAR(bound.zeta, fixed.zeta, 0.005); // PM ~ 100 zeta: within 0.5 deg
+}
+
 } // namespace

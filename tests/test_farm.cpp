@@ -253,6 +253,28 @@ TEST(farm_campaign, stability_plan_below_four_points_per_decade_is_refused)
     EXPECT_EQ(farm::campaign_from_json(farm::to_json(imp)).points_per_decade, 2u);
 }
 
+TEST(farm_campaign, fit_tol_above_the_accuracy_bound_is_refused)
+{
+    // A plan's fit_tol is bounded like --fit-tol: past 1e-2 an adaptive
+    // campaign recorded a wrong damping (the tank at 10: zeta 0.0139).
+    for (const real tol : {0.0, 0.1, 10.0}) {
+        farm::campaign_spec spec = tank_campaign();
+        spec.adaptive = true;
+        spec.fit_tol = tol;
+        const farm::json_value doc = farm::to_json(spec);
+        try {
+            (void)farm::campaign_from_json(doc);
+            ADD_FAILURE() << "plan accepted, fit_tol=" << tol;
+        } catch (const analysis_error& e) {
+            EXPECT_NE(std::string(e.what()).find("fit_tol"), std::string::npos) << e.what();
+        }
+    }
+    farm::campaign_spec spec = tank_campaign();
+    spec.adaptive = true;
+    spec.fit_tol = 1e-2;
+    EXPECT_DOUBLE_EQ(farm::campaign_from_json(farm::to_json(spec)).fit_tol, 1e-2);
+}
+
 // --- parser campaign inputs ------------------------------------------------
 
 TEST(farm_parser, param_override_wins_over_netlist_card)

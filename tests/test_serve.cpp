@@ -342,6 +342,23 @@ TEST(serve_e2e, streams_points_and_delivers_byte_identical_report)
     EXPECT_EQ(fx.summary.failed, 0u);
 }
 
+TEST(serve_e2e, submit_with_out_of_bound_fit_tol_gets_an_error_naming_it)
+{
+    farm::campaign_spec spec = small_campaign();
+    spec.adaptive = true;
+    spec.fit_tol = 10.0;
+    serve_fixture fx("fittol");
+    fx.start();
+    client c(fx);
+    c.send(submit_line("bad", spec));
+    const std::optional<json_value> err = c.read_frame("error", 10.0);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_NE(err->at("error").as_string().find("fit_tol"), std::string::npos)
+        << err->at("error").as_string();
+    fx.stop();
+    EXPECT_EQ(fx.summary.accepted, 0u);
+}
+
 TEST(serve_e2e, malformed_oversized_and_overdeep_frames_get_structured_errors)
 {
     serve_fixture fx("proto");

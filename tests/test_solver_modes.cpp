@@ -202,6 +202,27 @@ TEST(solver_modes, supernodal_and_column_paths_agree_on_generated_mesh)
     }
 }
 
+/// The same on a 2k-unknown mesh, whose partition has width-32 supernodes
+/// and multi-column pairs: the workers share the symbolic object and its
+/// pair plan, at 1 and 4 threads.
+TEST(solver_modes, supernodal_and_column_paths_agree_on_2k_mesh_at_1_and_4_threads)
+{
+    spice::parsed_netlist net;
+    const engine::linearized_snapshot snap = mesh_snapshot(net, 2048);
+    const std::vector<real> freqs = numeric::log_grid(1e3, 1e9, 2);
+    std::vector<engine::sweep_engine::injection> injections;
+    for (std::size_t k = 0; k < snap.size(); k += snap.size() / 6)
+        injections.push_back({k, cplx{1.0, 0.0}});
+
+    engine::solver_tuning column;
+    column.supernodal = false;
+    const sweep_capture ref = run_engine(snap, freqs, injections, column, 1);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const sweep_capture blk = run_engine(snap, freqs, injections, {}, threads);
+        EXPECT_LE(max_rel_diff(ref, blk), 1e-12) << "threads=" << threads;
+    }
+}
+
 // ---- report byte identity ---------------------------------------------------
 
 /// The formatted single-node summaries of the tank at the TEMP points of

@@ -5,17 +5,22 @@
 // these tests pin the numeric layer in isolation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
 #include <memory>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "circuits/opamp.h"
 #include "circuits/rlc.h"
 #include "engine/linearized_snapshot.h"
+#include "gen/netlist_gen.h"
 #include "numeric/sparse_factor.h"
+#include "numeric/sparse_lu.h"
 #include "numeric/supernode.h"
 #include "spice/dc_analysis.h"
+#include "spice/parser/netlist_parser.h"
 
 namespace {
 
@@ -307,6 +312,199 @@ TEST(supernode_numeric, seed_adoption_loads_panels)
     col.solve_batch(cols.data(), 4, xc.data());
     blk.solve_batch(cols.data(), 4, xb.data());
     EXPECT_LT(max_rel_err(xc, xb), 1e-12);
+}
+
+// --- pair-wise refactorization on a generated mesh ---------------------------
+
+/// A 2k-unknown generated RC mesh: fill-heavy enough that its partition
+/// has width-32 supernodes, multi-column (source, target) pairs and
+/// relaxed gaps inside spans.
+class mesh_case {
+public:
+    mesh_case()
+    {
+        gen::gen_options gopt;
+        gopt.size = 2048;
+        net_ = spice::parse_netlist(gen::rcmesh_netlist(gopt));
+        net_.ckt.finalize();
+        const std::vector<real> op = spice::dc_operating_point(net_.ckt).solution;
+        engine::snapshot_options sopt;
+        sopt.zero_all_sources = true;
+        snap_ = std::make_unique<engine::linearized_snapshot>(net_.ckt, op, sopt);
+    }
+
+    [[nodiscard]] std::size_t size() const { return snap_->size(); }
+
+    /// Y(j 2 pi f) for T = complex; for T = double the same pattern with
+    /// values re + im (a nonsingular real matrix of the same structure).
+    template <class T>
+    [[nodiscard]] numeric::csc_matrix<T> matrix(real f) const
+    {
+        numeric::csc_matrix<cplx> y = snap_->make_workspace();
+        snap_->assemble(to_omega(f), y);
+        if constexpr (std::is_same_v<T, cplx>) {
+            return y;
+        } else {
+            std::vector<real> v;
+            for (const cplx& z : y.values())
+                v.push_back(z.real() + z.imag());
+            return numeric::csc_matrix<real>(y.rows(), y.cols(), y.col_ptr(), y.row_idx(),
+                                             std::move(v));
+        }
+    }
+
+private:
+    spice::parsed_netlist net_;
+    std::unique_ptr<engine::linearized_snapshot> snap_;
+};
+
+/// Normwise relative difference max|a - b| / max|a| of two solutions.
+template <class T>
+[[nodiscard]] real rel_diff(const std::vector<T>& a, const std::vector<T>& b)
+{
+    real diff = 0.0;
+    real scale = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        diff = std::max(diff, real{std::abs(a[i] - b[i])});
+        scale = std::max(scale, real{std::abs(a[i])});
+    }
+    return diff / std::max(scale, real{1e-300});
+}
+
+template <class T>
+[[nodiscard]] std::vector<T> test_rhs(std::size_t n)
+{
+    std::mt19937 rng(7);
+    std::uniform_real_distribution<real> dist(-1.0, 1.0);
+    std::vector<T> b(n);
+    for (T& v : b) {
+        if constexpr (std::is_same_v<T, cplx>)
+            v = cplx{dist(rng), dist(rng)};
+        else
+            v = dist(rng);
+    }
+    return b;
+}
+
+TEST(supernode_pairs, mesh_plan_has_wide_supernodes_multi_column_pairs_and_gaps)
+{
+    const mesh_case mesh;
+    const numeric::symbolic_lu<cplx> sym(mesh.matrix<cplx>(1e6));
+    const supernode_partition& sn = sym.supernodes();
+    const numeric::supernode_plan& plan = sym.plan();
+
+    std::size_t widest = 0;
+    for (std::size_t s = 0; s < sn.count(); ++s)
+        widest = std::max(widest, sn.width(s));
+    EXPECT_EQ(widest, 32u);
+
+    std::size_t multi = 0; // pairs solving a span of 2+ rows for 2+ columns
+    std::size_t gaps = 0;  // pair columns whose span holds structural zeros
+    for (const numeric::supernode_plan::pair& pr : plan.pairs) {
+        const std::size_t end = sn.first[pr.source + 1];
+        if (pr.ncols >= 2 && end - pr.span >= 2)
+            ++multi;
+        for (std::size_t q = pr.cols; q < pr.cols + pr.ncols; ++q) {
+            std::size_t p = plan.ucsc[q];
+            const std::size_t first = sym.urow()[p];
+            std::size_t entries = 0;
+            for (; sym.urow()[p] < end; ++p)
+                ++entries;
+            if (entries < end - first)
+                ++gaps;
+        }
+    }
+    EXPECT_GT(multi, 100u);
+    EXPECT_GT(gaps, 0u);
+}
+
+/// Blocked against column on the mesh at several frequencies in a row on
+/// one symbolic object (plan reuse): solutions and growth witnesses agree.
+template <class T>
+void expect_blocked_matches_column_across_frequencies()
+{
+    const mesh_case mesh;
+    const auto sym = std::make_shared<const numeric::symbolic_lu<T>>(mesh.matrix<T>(1e6));
+    numeric::numeric_lu<T> col(sym);
+    numeric::numeric_lu<T> blk(sym);
+    blk.set_supernodal(true);
+    const std::vector<T> b = test_rhs<T>(mesh.size());
+    for (const real f : {1e3, 1e5, 3e6, 1e8, 1e9}) {
+        const numeric::csc_matrix<T> a = mesh.matrix<T>(f);
+        col.refactor(a);
+        blk.refactor(a);
+        EXPECT_LT(rel_diff(col.solve(b), blk.solve(b)), 1e-12) << "f=" << f;
+        EXPECT_NEAR(col.growth(), blk.growth(), 1e-12 * std::max(1.0, col.growth())) << "f=" << f;
+    }
+}
+
+TEST(supernode_pairs, blocked_matches_column_across_frequencies_complex)
+{
+    expect_blocked_matches_column_across_frequencies<cplx>();
+}
+
+TEST(supernode_pairs, blocked_matches_column_across_frequencies_real)
+{
+    expect_blocked_matches_column_across_frequencies<real>();
+}
+
+/// A stale order on the mesh: one pivot of the held order is set to an
+/// exact zero, so factor() re-pivots, which rebuilds the symbolic object
+/// and its plan. The blocked factors then match the column path on the
+/// new order, and keep matching at further frequencies.
+template <class T>
+void expect_repivot_rebuilds_the_plan()
+{
+    const mesh_case mesh;
+    const numeric::csc_matrix<T> seed = mesh.matrix<T>(1e6);
+    const auto sym = std::make_shared<const numeric::symbolic_lu<T>>(seed);
+    // The first pivot step with nothing to eliminate (its pivot is A's
+    // entry as is) in a column of three or more entries (a mesh node, so
+    // the matrix stays nonsingular without that entry).
+    std::size_t k = 0;
+    while (sym->ucol_ptr()[k + 1] - sym->ucol_ptr()[k] != 1
+           || seed.col_ptr()[sym->q()[k] + 1] - seed.col_ptr()[sym->q()[k]] < 3)
+        ++k;
+    const auto stale = [&](real f) {
+        numeric::csc_matrix<T> a = mesh.matrix<T>(f);
+        const std::size_t c = sym->q()[k];
+        for (std::size_t p = a.col_ptr()[c]; p < a.col_ptr()[c + 1]; ++p)
+            if (sym->pinv()[a.row_idx()[p]] == k)
+                a.values_mut()[p] = T{};
+        return a;
+    };
+    numeric::numeric_lu<T> blk(sym);
+    blk.set_supernodal(true);
+    const numeric::csc_matrix<T> a0 = stale(1e6);
+    const auto res = blk.factor(a0);
+    EXPECT_TRUE(res.repivoted);
+    EXPECT_NE(&blk.symbolic(), sym.get());
+    EXPECT_TRUE(blk.supernodal());
+    EXPECT_GT(blk.symbolic().plan().pairs.size(), 0u);
+
+    // The re-pivot analyses a0 under the same ordering, so a fresh
+    // analysis reproduces its order for the column-path reference.
+    const auto fresh = std::make_shared<const numeric::symbolic_lu<T>>(a0);
+    ASSERT_EQ(fresh->pinv(), blk.symbolic().pinv());
+    numeric::numeric_lu<T> col(fresh);
+    const std::vector<T> b = test_rhs<T>(mesh.size());
+    for (const real f : {1e6, 1e4, 1e8}) {
+        const numeric::csc_matrix<T> a = stale(f);
+        col.refactor(a);
+        if (f != 1e6)
+            EXPECT_FALSE(blk.factor(a).repivoted) << "f=" << f;
+        EXPECT_LT(rel_diff(col.solve(b), blk.solve(b)), 1e-12) << "f=" << f;
+    }
+}
+
+TEST(supernode_pairs, repivot_rebuilds_the_plan_complex)
+{
+    expect_repivot_rebuilds_the_plan<cplx>();
+}
+
+TEST(supernode_pairs, repivot_rebuilds_the_plan_real)
+{
+    expect_repivot_rebuilds_the_plan<real>();
 }
 
 } // namespace

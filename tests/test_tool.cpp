@@ -81,6 +81,19 @@ TEST(cli_options, errors)
                 EXPECT_NE(std::string(e.what()).find(flag), std::string::npos) << e.what();
             }
         }
+    // --fit-tol is bounded by the adaptive sweep's accuracy contract.
+    for (const char* value : {"0", "-1e-6", "0.1", "10"}) {
+        auto bad = argv_of({"--fit-tol", value});
+        try {
+            (void)parse_cli_options(2, bad.data());
+            ADD_FAILURE() << "--fit-tol " << value << " was accepted";
+        } catch (const analysis_error& e) {
+            EXPECT_NE(std::string(e.what()).find("--fit-tol"), std::string::npos) << e.what();
+        }
+    }
+    auto at_bound = argv_of({"--fit-tol", "1e-2"});
+    EXPECT_DOUBLE_EQ(parse_cli_options(2, at_bound.data()).fit_tol, 1e-2);
+
     // Zero keeps its meaning where it has one (--threads 0 = all cores).
     auto zero_threads = argv_of({"--threads", "0", "--ppd", "20"});
     const cli_options zopt = parse_cli_options(4, zero_threads.data());

@@ -7,43 +7,32 @@
 // (shared symbolic + batched solves). Also audits that the
 // steady-state sweep loop performs zero heap allocations per frequency
 // point, via a global operator-new counter, and (A3) compares the fixed
-// 40/decade grid against the adaptive rational-fit sweep on the three
-// shipped netlists (factor counts, wall time, worst phase-margin delta).
-// A4 measures corner-farm throughput: the same TEMP campaign executed as
-// one process with N point-level threads vs N independent shard
-// PROCESSES (this binary re-spawned in a hidden --farm-shard mode),
-// merged and verified byte-identical.
+// 40/decade grid against the adaptive rational-fit sweep on the watched
+// node of each of the three shipped netlists (factor counts, wall time,
+// phase-margin delta).
 // Prints scaling tables plus one machine-readable JSON array (the
 // ACSTAB_BENCH_JSON line) for the bench trajectory; benchmarks both paths.
 #include <benchmark/benchmark.h>
-
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <functional>
 #include <new>
 #include <optional>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "circuits/opamp.h"
 #include "circuits/rlc.h"
 #include "core/analyzer.h"
-#include "core/sweeps.h"
+#include "engine/adaptive_sweep.h"
 #include "engine/linearized_snapshot.h"
 #include "engine/reference_sweep.h"
 #include "engine/sweep_engine.h"
-#include "farm/campaign.h"
-#include "farm/executor.h"
 #include "numeric/sparse_lu.h"
 #include "spice/ac_analysis.h"
 #include "spice/circuit.h"
@@ -508,28 +497,55 @@ void print_alloc_audit()
     results().push_back({"alloc_audit_follower", "engine_steady_state", 1, 0.0, 0.0, rate});
 }
 
-/// A3 — adaptive frequency grid vs the fixed 40/decade sweep on the three
-/// shipped netlists: LU factorization counts, wall time, and the worst
-/// phase-margin delta across all peaked nodes. The adaptive_follower rows
-/// back the CI guard (adaptive factor count must stay <= 1/3 of fixed).
+/// Factorizations of the adaptive driver on the single-node sweep that
+/// analyze_node(node) runs with `opt`: the same snapshot, injection and
+/// channel, driven directly because node_stability carries no count.
+std::size_t adaptive_factorizations(spice::circuit& c, const core::stability_options& opt,
+                                    const std::string& node)
+{
+    core::stability_analyzer an(c, opt);
+    engine::snapshot_options sopt;
+    sopt.gmin = opt.gmin;
+    sopt.gshunt = opt.gshunt;
+    sopt.zero_all_sources = true;
+    const engine::linearized_snapshot snap(c, an.operating_point(), sopt);
+    engine::adaptive_sweep_options aopt;
+    aopt.fstart = opt.sweep.fstart;
+    aopt.fstop = opt.sweep.fstop;
+    aopt.output_points_per_decade = opt.sweep.points_per_decade;
+    aopt.anchors_per_decade = opt.anchors_per_decade;
+    aopt.fit_tol = opt.fit_tol;
+    const std::size_t k = static_cast<std::size_t>(*c.find_node(node));
+    return engine::adaptive_sweep(aopt)
+        .run_injections(snap, {{k, cplx{opt.stimulus_amps, 0.0}}}, {{0, k}})
+        .factorizations;
+}
+
+/// A3 — adaptive frequency grid vs the fixed 40/decade sweep on the
+/// watched node of each shipped netlist (single-node stability; the
+/// all-nodes analysis always runs the fixed grid): LU factorization
+/// counts, wall time, and the phase-margin delta at that node. The
+/// adaptive_follower rows back the CI guard (adaptive factor count must
+/// stay <= 1/3 of fixed).
 void print_adaptive_ablation()
 {
     std::puts("==============================================================================");
-    std::puts("A3 — fixed 40/decade grid vs adaptive rational-fit sweep (all-nodes analysis)");
+    std::puts("A3 — fixed 40/decade grid vs adaptive rational-fit sweep (single-node analysis)");
     std::puts("==============================================================================");
-    std::puts("netlist          mode        factors   wall [ms]   max |dPM| [deg]");
+    std::puts("netlist          node    mode      factors   wall [ms]   |dPM| [deg]");
     std::puts("------------------------------------------------------------------------------");
 
     struct workload {
         const char* key;
         const char* file;
+        const char* node;
         real fstart;
         real fstop;
     };
     const std::vector<workload> workloads = {
-        {"adaptive_follower", "follower.sp", 1e5, 1e10},
-        {"adaptive_rlc_tank", "rlc_tank.sp", 1e4, 1e8},
-        {"adaptive_two_pole", "two_pole_loop.sp", 1e2, 1e8},
+        {"adaptive_follower", "follower.sp", "f_out", 1e5, 1e10},
+        {"adaptive_rlc_tank", "rlc_tank.sp", "tank", 1e4, 1e8},
+        {"adaptive_two_pole", "two_pole_loop.sp", "out", 1e2, 1e8},
     };
     const int repeats = 20;
     const int groups = 3;
@@ -537,21 +553,21 @@ void print_adaptive_ablation()
     for (const workload& w : workloads) {
         spice::parsed_netlist net = spice::parse_netlist_file(std::string(ACSTAB_NETLIST_DIR)
                                                               + "/" + w.file);
-        const auto run_mode = [&](bool adaptive, core::stability_report& rep) {
+        const auto options = [&w](bool adaptive) {
             core::stability_options opt;
-            opt.sweep.fstart = w.fstart;
-            opt.sweep.fstop = w.fstop;
-            opt.sweep.points_per_decade = 40;
+            opt.sweep = {w.fstart, w.fstop, 40};
             opt.adaptive = adaptive;
-            core::stability_analyzer an(net.ckt, opt);
-            (void)an.operating_point();
-            rep = an.analyze_all_nodes(); // warm caches, keep the report
+            return opt;
+        };
+        const auto run_mode = [&](bool adaptive, core::node_stability& ns) {
+            core::stability_analyzer an(net.ckt, options(adaptive));
+            ns = an.analyze_node(w.node); // warm caches, keep the result
             double ms = 1e300;
             for (int g = 0; g < groups; ++g) {
                 const double group_ms = time_ms([&] {
                                             for (int r = 0; r < repeats; ++r) {
-                                                rep = an.analyze_all_nodes();
-                                                benchmark::DoNotOptimize(rep.nodes.data());
+                                                ns = an.analyze_node(w.node);
+                                                benchmark::DoNotOptimize(ns.plot.p.data());
                                             }
                                         })
                                         / repeats;
@@ -560,182 +576,28 @@ void print_adaptive_ablation()
             return ms;
         };
 
-        core::stability_report fixed, adaptive;
+        core::node_stability fixed, adaptive;
         const double fixed_ms = run_mode(false, fixed);
         const double adaptive_ms = run_mode(true, adaptive);
+        const std::size_t fixed_factors = options(false).sweep.frequencies().size();
+        const std::size_t adaptive_factors
+            = adaptive_factorizations(net.ckt, options(true), w.node);
+        const double dpm = fixed.has_peak && adaptive.has_peak
+            ? std::fabs(adaptive.phase_margin_est_deg - fixed.phase_margin_est_deg)
+            : 0.0;
 
-        // Worst phase-margin delta over nodes both grids agree have peaks.
-        double max_dpm = 0.0;
-        for (const core::node_stability& fn : fixed.nodes) {
-            if (!fn.has_peak)
-                continue;
-            for (const core::node_stability& an : adaptive.nodes)
-                if (an.node == fn.node && an.has_peak)
-                    max_dpm = std::max(max_dpm, std::fabs(an.phase_margin_est_deg
-                                                          - fn.phase_margin_est_deg));
-        }
-
-        std::printf("%-16s fixed     %8zu   %9.3f   %s\n", w.file, fixed.factorizations,
+        std::printf("%-16s %-7s fixed     %7zu   %9.3f   %s\n", w.file, w.node, fixed_factors,
                     fixed_ms, "(reference)");
-        std::printf("%-16s adaptive  %8zu   %9.3f   %15.4f   (%.1fx fewer factors)\n", w.file,
-                    adaptive.factorizations, adaptive_ms, max_dpm,
-                    static_cast<double>(fixed.factorizations)
-                        / static_cast<double>(std::max<std::size_t>(1,
-                                                                    adaptive.factorizations)));
+        std::printf("%-16s %-7s adaptive  %7zu   %9.3f   %11.4f   (%.1fx fewer factors)\n",
+                    w.file, w.node, adaptive_factors, adaptive_ms, dpm,
+                    static_cast<double>(fixed_factors)
+                        / static_cast<double>(std::max<std::size_t>(1, adaptive_factors)));
         results().push_back({w.key, "fixed_grid", 1, fixed_ms, 0.0, -1.0,
-                             static_cast<long long>(fixed.factorizations), -1.0});
+                             static_cast<long long>(fixed_factors), -1.0});
         results().push_back({w.key, "adaptive", 1, adaptive_ms, 0.0, -1.0,
-                             static_cast<long long>(adaptive.factorizations), max_dpm});
+                             static_cast<long long>(adaptive_factors), dpm});
     }
     std::puts("");
-}
-
-// ---------------------------------------------------------------------------
-// A4 — corner-farm throughput: the same TEMP campaign on follower.sp as
-// (a) ONE process dispatching points onto N pool threads and (b) N
-// independent shard PROCESSES (this very binary re-executed in the
-// hidden --farm-shard mode), i.e. the paper's computer-farm layout on a
-// single host. The process farm pays exec + netlist re-parse + JSON
-// serialization per shard but shares nothing; the merged reports of both
-// layouts must be byte-identical (verified here, as in CI's smoke job).
-
-[[nodiscard]] std::string slurp(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
-[[nodiscard]] farm::campaign_spec make_farm_spec()
-{
-    farm::campaign_spec spec;
-    spec.netlist = std::string(ACSTAB_NETLIST_DIR) + "/follower.sp";
-    spec.node = "f_out";
-    spec.fstart = 1e5;
-    spec.fstop = 1e10;
-    spec.points_per_decade = 50;
-    for (int i = 0; i < 24; ++i)
-        spec.grid.temps.push_back(-40.0 + 165.0 * static_cast<real>(i) / 23.0);
-    return spec;
-}
-
-[[nodiscard]] std::string merged_report_bytes(const farm::campaign_spec& spec,
-                                              const std::vector<std::string>& shard_paths)
-{
-    std::vector<farm::json_value> docs;
-    docs.reserve(shard_paths.size());
-    for (const std::string& path : shard_paths)
-        docs.push_back(farm::json_value::parse(slurp(path)));
-    return farm::merge_shards(spec, docs).dump() + "\n";
-}
-
-void print_farm_ablation(const char* self_exe)
-{
-    std::puts("==============================================================================");
-    std::puts("A4 — corner-farm throughput, 24-point TEMP campaign on netlists/follower.sp");
-    std::puts("      1 process x N pool threads vs N shard processes (exec + parse + JSON");
-    std::puts("      per shard); both merged, reports verified byte-identical");
-    std::puts("==============================================================================");
-    const farm::campaign_spec spec = make_farm_spec();
-    // Prefer the kernel's view of this binary: argv[0] may be relative
-    // to a directory the shard children do not inherit verbatim.
-    if (access("/proc/self/exe", X_OK) == 0)
-        self_exe = "/proc/self/exe";
-    const std::string dir = "/tmp/acstab_bench_farm." + std::to_string(getpid());
-    const std::string plan_path = dir + "/plan.json";
-    if (std::system(("mkdir -p " + dir).c_str()) != 0) {
-        std::puts("  (skipped: cannot create scratch directory)");
-        return;
-    }
-    {
-        std::ofstream out(plan_path, std::ios::binary);
-        out << farm::to_json(spec).dump() << "\n";
-    }
-
-    // Reference merged bytes from an in-process single-shard run.
-    std::string reference;
-    {
-        const std::vector<farm::point_record> records = farm::run_shard(spec, 0, 1, 1);
-        std::ofstream out(dir + "/ref.json", std::ios::binary);
-        out << farm::shard_to_json(spec, 0, 1, records).dump() << "\n";
-    }
-    reference = merged_report_bytes(spec, {dir + "/ref.json"});
-
-    for (const std::size_t n : {1u, 2u, 4u}) {
-        // (a) one process, N point-level pool threads.
-        const double threads_ms = time_ms([&] {
-            const std::vector<farm::point_record> records = farm::run_shard(spec, 0, 1, n);
-            benchmark::DoNotOptimize(records.data());
-        });
-
-        // (b) N shard processes: spawn this binary once per shard and
-        // wait for the farm to drain, then merge the shard files.
-        std::vector<std::string> shard_paths;
-        bool spawn_ok = true;
-        const double procs_ms = time_ms([&] {
-            std::vector<pid_t> children;
-            for (std::size_t k = 0; k < n; ++k) {
-                const std::string out_path
-                    = dir + "/shard" + std::to_string(k) + "of" + std::to_string(n) + ".json";
-                shard_paths.push_back(out_path);
-                const std::string karg = std::to_string(k);
-                const std::string narg = std::to_string(n);
-                const pid_t pid = fork();
-                if (pid == 0) {
-                    execl(self_exe, self_exe, "--farm-shard", plan_path.c_str(), karg.c_str(),
-                          narg.c_str(), out_path.c_str(), static_cast<char*>(nullptr));
-                    _exit(127); // exec failed
-                }
-                if (pid < 0)
-                    spawn_ok = false;
-                else
-                    children.push_back(pid);
-            }
-            for (const pid_t pid : children) {
-                int status = 0;
-                waitpid(pid, &status, 0);
-                spawn_ok = spawn_ok && WIFEXITED(status) && WEXITSTATUS(status) == 0;
-            }
-        });
-        if (!spawn_ok) {
-            std::printf("  N=%zu: shard process spawn failed; skipping\n", n);
-            continue;
-        }
-        const bool identical = merged_report_bytes(spec, shard_paths) == reference;
-        std::printf("  N=%zu: 1 proc x %zu threads %8.1f ms   %zu shard procs %8.1f ms   "
-                    "merge %s\n",
-                    n, n, threads_ms, n, procs_ms, identical ? "byte-identical" : "MISMATCH");
-        results().push_back({"farm_follower", "pool_threads", n, threads_ms,
-                             identical ? 0.0 : 1.0, -1.0});
-        results().push_back({"farm_follower", "shard_procs", n, procs_ms,
-                             identical ? 0.0 : 1.0, -1.0});
-    }
-    (void)std::system(("rm -rf " + dir).c_str());
-    std::puts("");
-}
-
-/// Hidden child mode: execute one shard of a plan file and write the
-/// shard document ("bench_ablation_solver --farm-shard plan k N out").
-int run_farm_shard_child(const char* plan_path, const char* k, const char* n,
-                         const char* out_path)
-{
-    try {
-        const farm::campaign_spec spec
-            = farm::campaign_from_json(farm::json_value::parse(slurp(plan_path)));
-        const std::size_t shard = static_cast<std::size_t>(std::atoll(k));
-        const std::size_t count = static_cast<std::size_t>(std::atoll(n));
-        const std::vector<farm::point_record> records
-            = farm::run_shard(spec, shard, count, 1);
-        std::ofstream out(out_path, std::ios::binary);
-        if (!out)
-            return 1;
-        out << farm::shard_to_json(spec, shard, count, records).dump() << "\n";
-        return 0;
-    } catch (const acstab::error& e) {
-        std::fprintf(stderr, "farm shard child: %s\n", e.what());
-        return 1;
-    }
 }
 
 void bm_ladder_ac(benchmark::State& state)
@@ -757,17 +619,11 @@ BENCHMARK(bm_ladder_ac)->Args({40, 0})->Args({40, 1})->Args({320, 0})->Args({320
 
 int main(int argc, char** argv)
 {
-    // Shard-child re-entry MUST precede everything else: the A4 farm
-    // ablation spawns this binary once per shard.
-    if (argc == 6 && std::strcmp(argv[1], "--farm-shard") == 0)
-        return run_farm_shard_child(argv[2], argv[3], argv[4], argv[5]);
-
     print_ablation();
     print_engine_ablation();
     print_solver_path_ablation();
     print_alloc_audit();
     print_adaptive_ablation();
-    print_farm_ablation(argv[0]);
     emit_json();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();

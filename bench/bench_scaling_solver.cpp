@@ -189,11 +189,14 @@ void print_phase_breakdown(const std::vector<std::size_t>& sizes, int repeats)
             snap.assemble(to_omega(1e6), work);
             const int reps = size > 4000 ? std::max(1, repeats / 2) : repeats;
 
-            const auto best_of = [reps](const std::function<void()>& fn) {
+            const auto best_of_n = [](int n, const std::function<void()>& fn) {
                 double ms = 1e300;
-                for (int rep = 0; rep < reps; ++rep)
+                for (int rep = 0; rep < n; ++rep)
                     ms = std::min(ms, time_ms(fn));
                 return ms;
+            };
+            const auto best_of = [&](const std::function<void()>& fn) {
+                return best_of_n(reps, fn);
             };
 
             std::vector<std::size_t> order;
@@ -214,8 +217,12 @@ void print_phase_breakdown(const std::vector<std::size_t>& sizes, int repeats)
             blk.set_supernodal(true);
             col.refactor(work); // prime allocations outside the timed region
             blk.refactor(work);
-            const double ms_refac_col = best_of([&] { col.refactor(work); });
-            const double ms_refac_sn = best_of([&] { blk.refactor(work); });
+            // The refactor columns feed CI's supernodal guard, so they take
+            // the best of at least 3 passes at every size: one pass on a
+            // loaded shared host can read the column path's speed.
+            const int refactor_reps = std::max(3, reps);
+            const double ms_refac_col = best_of_n(refactor_reps, [&] { col.refactor(work); });
+            const double ms_refac_sn = best_of_n(refactor_reps, [&] { blk.refactor(work); });
 
             constexpr std::size_t nrhs = 24;
             std::vector<std::vector<cplx>> rhs(nrhs, std::vector<cplx>(n, cplx{}));
@@ -385,8 +392,9 @@ int main(int argc, char** argv)
     const char* title1 = "A5c — single-probe sweep, ms per frequency point (serial, 1 probe, "
                          "40 ppd)";
     if (quick) {
-        // CI smoke: one ~2k-unknown point per kind, single timing pass,
-        // plus the 8k point the supernodal perf guard reads.
+        // CI smoke: one ~2k-unknown point per kind, single timing pass
+        // (the refactor rows: best of 3), plus the 8k point the
+        // supernodal perf guard reads.
         print_fill_table({2048});
         print_phase_breakdown({2048, 8192}, 1);
         print_sweep_ablation(title24, 24, {2048, 8192}, 1);

@@ -1,10 +1,9 @@
 // Crash-safe shard store costs: what the farm orchestrator's durability
 // contract (one fwrite + fflush per record before the point is
 // acknowledged) costs per append, how fast the line-by-line scanner
-// recovers a shard stream, and the streaming merge vs the in-memory
-// merge_shards() path on growing synthetic campaigns. The streaming
-// merge keeps O(1) records resident, so its bytes/sec — not its memory —
-// is the number to watch.
+// recovers a shard stream, and the streaming merge on growing synthetic
+// campaigns. The streaming merge keeps O(1) records resident, so its
+// bytes/sec — not its memory — is the number to watch.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -119,25 +118,6 @@ void bm_streaming_merge(benchmark::State& state)
     std::remove(out.c_str());
 }
 BENCHMARK(bm_streaming_merge)->Arg(256)->Arg(2048)->Unit(benchmark::kMillisecond);
-
-void bm_in_memory_merge(benchmark::State& state)
-{
-    // The legacy whole-document path the streaming merge competes with.
-    const std::size_t points = static_cast<std::size_t>(state.range(0));
-    const farm::campaign_spec spec = synthetic_campaign(points);
-    std::vector<farm::point_record> records;
-    records.reserve(points);
-    for (std::size_t i = 0; i < points; ++i)
-        records.push_back(synthetic_record(spec, i));
-    const farm::json_value doc = farm::shard_to_json(spec, 0, 1, records);
-    for (auto _ : state) {
-        const std::string report = farm::merge_shards(spec, {doc}).dump();
-        benchmark::DoNotOptimize(report.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        static_cast<std::size_t>(state.iterations()) * points));
-}
-BENCHMARK(bm_in_memory_merge)->Arg(256)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -9,7 +9,6 @@
 #include "circuits/bias.h"
 #include "core/analyzer.h"
 #include "core/report.h"
-#include "core/sweeps.h"
 #include "spice/units.h"
 
 namespace {
@@ -53,27 +52,24 @@ int main()
     // feature; here is that feature: the local loop across temperature.
     using namespace acstab;
     std::puts("==== local loop vs temperature (rail node) ====");
-    core::param_grid grid;
-    grid.temps = {-40.0, 0.0, 27.0, 85.0, 125.0};
-    const auto points = core::sweep_stability_grid(
-        [](spice::circuit& c, const core::grid_point& pt) {
-            circuits::bias_params bp;
-            bp.temp_celsius = *pt.temp_celsius;
-            return circuits::build_standalone_bias(c, bp).rail;
-        },
-        grid);
     std::puts("T [C]        fn            peak        zeta     est. PM");
     std::puts("------------------------------------------------------------------");
-    for (const core::grid_point_result& p : points) {
-        const real temp = *p.point.temp_celsius;
-        if (p.status != core::point_status::ok)
-            std::printf("%-12.4g (failed: %s)\n", temp, p.error.c_str());
-        else if (!p.node.has_peak)
-            std::printf("%-12.4g (no complex-pole peak)\n", temp);
-        else
-            std::printf("%-12.4g %-12s %10.3f  %7.3f  %7.1f deg\n", temp,
-                        spice::format_frequency(p.node.dominant.freq_hz).c_str(),
-                        p.node.dominant.value, p.node.zeta, p.node.phase_margin_est_deg);
+    for (const real temp : {-40.0, 0.0, 27.0, 85.0, 125.0}) {
+        spice::circuit c;
+        circuits::bias_params bp;
+        bp.temp_celsius = temp;
+        const std::string rail = circuits::build_standalone_bias(c, bp).rail;
+        try {
+            const core::node_stability ns = core::stability_analyzer(c).analyze_node(rail);
+            if (!ns.has_peak)
+                std::printf("%-12.4g (no complex-pole peak)\n", temp);
+            else
+                std::printf("%-12.4g %-12s %10.3f  %7.3f  %7.1f deg\n", temp,
+                            spice::format_frequency(ns.dominant.freq_hz).c_str(),
+                            ns.dominant.value, ns.zeta, ns.phase_margin_est_deg);
+        } catch (const error& e) {
+            std::printf("%-12.4g (failed: %s)\n", temp, e.what());
+        }
     }
     return 0;
 }

@@ -119,17 +119,23 @@ stability_report stability_analyzer::analyze_all_nodes()
             injections.push_back({k, cplx{1.0, 0.0}}); // unit current into node k
 
     // One channel per injection: each node observes its own driving-point
-    // response (the adaptive driver refines on the worst node, so a
-    // single solved grid serves every right-hand side).
+    // response.
     std::vector<engine::adaptive_channel> channels(injections.size());
     for (std::size_t ri = 0; ri < injections.size(); ++ri)
         channels[ri] = {ri, injections[ri].index};
+
+    // Always the fixed grid: the adaptive driver keeps every right-hand
+    // side's full solution per sample (66 MB per sample at 2k unknowns)
+    // and confirms only when every node's channel agrees, so it was
+    // slower than the fixed grid and used many times its memory.
+    engine::sweep_config fixed_grid = opt_;
+    fixed_grid.adaptive = false;
 
     stability_report report;
     // magnitude[node][freq]
     std::vector<std::vector<real>> magnitude(node_count);
     const engine::channel_sweep sw = engine::sweep_channels(
-        snap, freqs, opt_.sweep, injections, channels, opt_,
+        snap, freqs, opt_.sweep, injections, channels, fixed_grid,
         {[&magnitude, &injections](const std::vector<real>& grid) {
              for (const engine::sweep_engine::injection& inj : injections)
                  magnitude[inj.index].assign(grid.size(), 0.0);

@@ -70,8 +70,7 @@ struct stability_report {
     std::vector<node_stability> nodes; ///< sorted by natural frequency
     std::vector<loop_group> loops;
     std::vector<std::string> skipped_nodes; ///< source-forced, not analyzed
-    /// LU factorizations the sweep performed (the fixed grid factors one
-    /// per grid point; the adaptive path usually far fewer).
+    /// LU factorizations the sweep performed (one per grid point).
     std::size_t factorizations = 0;
 };
 
@@ -88,7 +87,8 @@ public:
     /// "Single Node" run mode: stimulus attached to the named node.
     [[nodiscard]] node_stability analyze_node(const std::string& node_name);
 
-    /// "All Nodes" run mode with loop grouping.
+    /// "All Nodes" run mode with loop grouping. Always sweeps the fixed
+    /// grid; the `adaptive` option applies to single-node runs only.
     [[nodiscard]] stability_report analyze_all_nodes();
 
     /// Invalidate the cached operating point after circuit edits.

@@ -5,10 +5,9 @@
 // axes; a grid_point is one fully decoded cell of that product, carrying
 // everything needed to rebuild the circuit — a temperature override, a
 // corner name and the merged `.param` override map. Both are plain value
-// types: unlike the closure factories of the historical sweep API they
-// serialize, so a campaign planned in one process can be executed shard
-// by shard on independent processes (src/farm/) and merged
-// deterministically by each point's stable global index.
+// types that serialize, so a campaign planned in one process can be
+// executed shard by shard on independent processes (src/farm/) and
+// merged deterministically by each point's stable global index.
 #ifndef ACSTAB_CORE_PARAM_GRID_H
 #define ACSTAB_CORE_PARAM_GRID_H
 

@@ -12,28 +12,15 @@ namespace acstab::farm {
 
 namespace {
 
-    [[nodiscard]] const char* status_name(core::point_status s)
+    [[nodiscard]] const char* status_name(point_status s)
     {
         switch (s) {
-        case core::point_status::ok: return "ok";
-        case core::point_status::dc_failed: return "dc_failed";
-        case core::point_status::analysis_failed: return "failed";
-        case core::point_status::quarantined: return "quarantined";
+        case point_status::ok: return "ok";
+        case point_status::dc_failed: return "dc_failed";
+        case point_status::analysis_failed: return "failed";
+        case point_status::quarantined: return "quarantined";
         }
         return "failed";
-    }
-
-    [[nodiscard]] core::point_status status_from_name(const std::string& s)
-    {
-        if (s == "ok")
-            return core::point_status::ok;
-        if (s == "dc_failed")
-            return core::point_status::dc_failed;
-        if (s == "failed")
-            return core::point_status::analysis_failed;
-        if (s == "quarantined")
-            return core::point_status::quarantined;
-        throw analysis_error("farm: unknown record status '" + s + "'");
     }
 
     [[nodiscard]] json_value impedance_to_json(const impedance_point_summary& imp)
@@ -57,25 +44,6 @@ namespace {
         return obj;
     }
 
-    [[nodiscard]] impedance_point_summary impedance_from_json(const json_value& obj)
-    {
-        impedance_point_summary imp;
-        imp.stable = obj.at("stable").as_bool();
-        imp.encirclements = static_cast<int>(obj.at("encirclements").as_number());
-        imp.nyquist_margin = obj.at("nyquist_margin").as_number();
-        imp.nyquist_margin_freq_hz = obj.at("nyquist_margin_freq_hz").as_number();
-        imp.has_unity_crossing = obj.at("has_unity_crossing").as_bool();
-        if (imp.has_unity_crossing)
-            imp.phase_margin_deg = obj.at("phase_margin_deg").as_number();
-        imp.has_phase_crossing = obj.at("has_phase_crossing").as_bool();
-        if (imp.has_phase_crossing)
-            imp.gain_margin_db = obj.at("gain_margin_db").as_number();
-        imp.freq_hz = reals_from_json(obj.at("freq_hz"));
-        imp.lm_re = reals_from_json(obj.at("lm_re"));
-        imp.lm_im = reals_from_json(obj.at("lm_im"));
-        return imp;
-    }
-
     [[nodiscard]] json_value transient_to_json(const transient_point_summary& tr)
     {
         json_value obj = json_value::object();
@@ -92,20 +60,55 @@ namespace {
         return obj;
     }
 
-    [[nodiscard]] transient_point_summary transient_from_json(const json_value& obj)
+    [[nodiscard]] impedance_point_summary impedance_summary(const analysis::impedance_result& res)
+    {
+        impedance_point_summary imp;
+        imp.stable = res.stable;
+        imp.encirclements = res.encirclements;
+        imp.nyquist_margin = res.nyquist_margin;
+        imp.nyquist_margin_freq_hz = res.nyquist_margin_freq_hz;
+        imp.has_unity_crossing = res.margins.has_unity_crossing;
+        imp.phase_margin_deg = res.margins.phase_margin_deg;
+        imp.has_phase_crossing = res.margins.has_phase_crossing;
+        imp.gain_margin_db = res.margins.gain_margin_db;
+        imp.freq_hz = res.freq_hz;
+        imp.lm_re.resize(res.minor_loop.size());
+        imp.lm_im.resize(res.minor_loop.size());
+        for (std::size_t k = 0; k < res.minor_loop.size(); ++k) {
+            imp.lm_re[k] = res.minor_loop[k].real();
+            imp.lm_im[k] = res.minor_loop[k].imag();
+        }
+        return imp;
+    }
+
+    [[nodiscard]] transient_point_summary transient_summary(const core::tran_stability_result& res)
     {
         transient_point_summary tr;
-        tr.stable = obj.at("stable").as_bool();
-        tr.ringing = obj.at("ringing").as_bool();
-        tr.overshoot_pct = obj.at("overshoot_pct").as_number();
-        tr.ringing_freq_hz = obj.at("ringing_freq_hz").as_number();
-        tr.settling_time_s = obj.at("settling_time_s").as_number();
-        tr.final_value = obj.at("final_value").as_number();
-        tr.zeta = obj.at("zeta").as_number();
-        tr.equiv_pm_deg = obj.at("equiv_pm_deg").as_number();
-        tr.time_s = reals_from_json(obj.at("time_s"));
-        tr.value = reals_from_json(obj.at("value"));
+        tr.stable = res.stable;
+        tr.ringing = res.ringing;
+        tr.overshoot_pct = res.overshoot_pct;
+        tr.ringing_freq_hz = res.ringing_freq_hz;
+        tr.settling_time_s = res.settling_time_s;
+        tr.final_value = res.final_value;
+        tr.zeta = res.zeta;
+        tr.equiv_pm_deg = res.equiv_pm_deg;
+        tr.time_s = res.time;
+        tr.value = res.value;
         return tr;
+    }
+
+    void set_stability_summary(point_record& rec, const core::node_stability& ns)
+    {
+        rec.has_peak = ns.has_peak;
+        if (ns.has_peak) {
+            rec.fn_hz = ns.dominant.freq_hz;
+            rec.peak = ns.dominant.value;
+            rec.zeta = ns.zeta;
+            rec.phase_margin_deg = ns.phase_margin_est_deg;
+            rec.overshoot_pct = ns.overshoot_est_pct;
+        }
+        rec.freq_hz = ns.plot.freq_hz;
+        rec.magnitude = ns.plot.magnitude;
     }
 
 } // namespace
@@ -121,7 +124,7 @@ json_value point_record_to_json(const point_record& rec)
     obj.set("overrides", overrides_to_json(rec.point.overrides));
     obj.set("label", json_value::str(rec.point.label()));
     obj.set("status", json_value::str(status_name(rec.status)));
-    if (rec.status != core::point_status::ok) {
+    if (rec.status != point_status::ok) {
         obj.set("error", json_value::str(rec.error));
         return obj;
     }
@@ -145,147 +148,6 @@ json_value point_record_to_json(const point_record& rec)
     obj.set("magnitude", reals_to_json(rec.magnitude));
     return obj;
 }
-
-point_record point_record_from_json(const json_value& obj)
-{
-    point_record rec;
-    rec.index = obj.at("index").as_index();
-    rec.point.index = rec.index;
-    if (const json_value* t = obj.find("temp"))
-        rec.point.temp_celsius = t->as_number();
-    if (const json_value* c = obj.find("corner"))
-        rec.point.corner = c->as_string();
-    for (const auto& [name, v] : obj.at("overrides").members())
-        rec.point.overrides[name] = v.as_number();
-    rec.status = status_from_name(obj.at("status").as_string());
-    if (rec.status != core::point_status::ok) {
-        rec.error = obj.at("error").as_string();
-        return rec;
-    }
-    if (const json_value* imp = obj.find("impedance")) {
-        rec.impedance = impedance_from_json(*imp);
-        return rec;
-    }
-    if (const json_value* tr = obj.find("transient")) {
-        rec.transient = transient_from_json(*tr);
-        return rec;
-    }
-    rec.has_peak = obj.at("has_peak").as_bool();
-    if (rec.has_peak) {
-        rec.fn_hz = obj.at("fn_hz").as_number();
-        rec.peak = obj.at("peak").as_number();
-        rec.zeta = obj.at("zeta").as_number();
-        rec.phase_margin_deg = obj.at("phase_margin_deg").as_number();
-        rec.overshoot_pct = obj.at("overshoot_pct").as_number();
-    }
-    rec.freq_hz = reals_from_json(obj.at("freq_hz"));
-    rec.magnitude = reals_from_json(obj.at("magnitude"));
-    return rec;
-}
-
-
-namespace {
-
-    /// One impedance grid point, serially, every failure recorded.
-    [[nodiscard]] point_record run_impedance_point(const campaign_spec& spec,
-                                                   const core::circuit_template& tmpl,
-                                                   const analysis::impedance_options& opt,
-                                                   std::size_t index)
-    {
-        point_record rec;
-        rec.point = spec.grid.point(index);
-        rec.index = rec.point.index;
-        try {
-            spice::circuit c = std::move(tmpl.build(rec.point).ckt);
-            const analysis::impedance_result res
-                = analysis::analyze_impedance(c, spec.node, opt);
-            impedance_point_summary imp;
-            imp.stable = res.stable;
-            imp.encirclements = res.encirclements;
-            imp.nyquist_margin = res.nyquist_margin;
-            imp.nyquist_margin_freq_hz = res.nyquist_margin_freq_hz;
-            imp.has_unity_crossing = res.margins.has_unity_crossing;
-            imp.phase_margin_deg = res.margins.phase_margin_deg;
-            imp.has_phase_crossing = res.margins.has_phase_crossing;
-            imp.gain_margin_db = res.margins.gain_margin_db;
-            imp.freq_hz = res.freq_hz;
-            imp.lm_re.resize(res.minor_loop.size());
-            imp.lm_im.resize(res.minor_loop.size());
-            for (std::size_t k = 0; k < res.minor_loop.size(); ++k) {
-                imp.lm_re[k] = res.minor_loop[k].real();
-                imp.lm_im[k] = res.minor_loop[k].imag();
-            }
-            rec.impedance = std::move(imp);
-        } catch (const convergence_error& e) {
-            rec.status = core::point_status::dc_failed;
-            rec.error = e.what();
-        } catch (const error& e) {
-            rec.status = core::point_status::analysis_failed;
-            rec.error = e.what();
-        }
-        return rec;
-    }
-
-    /// One transient grid point, serially, every failure recorded
-    /// (convergence failures — DC operating point or a transient Newton
-    /// ladder bottoming out — report dc_failed like the other kinds).
-    [[nodiscard]] point_record run_transient_point(const campaign_spec& spec,
-                                                   const core::circuit_template& tmpl,
-                                                   std::size_t index)
-    {
-        point_record rec;
-        rec.point = spec.grid.point(index);
-        rec.index = rec.point.index;
-        try {
-            spice::circuit c = std::move(tmpl.build(rec.point).ckt);
-            const core::tran_stability_result res
-                = core::measure_tran_stability(c, spec.node, spec.transient_options());
-            transient_point_summary tr;
-            tr.stable = res.stable;
-            tr.ringing = res.ringing;
-            tr.overshoot_pct = res.overshoot_pct;
-            tr.ringing_freq_hz = res.ringing_freq_hz;
-            tr.settling_time_s = res.settling_time_s;
-            tr.final_value = res.final_value;
-            tr.zeta = res.zeta;
-            tr.equiv_pm_deg = res.equiv_pm_deg;
-            tr.time_s = res.time;
-            tr.value = res.value;
-            rec.transient = std::move(tr);
-        } catch (const convergence_error& e) {
-            rec.status = core::point_status::dc_failed;
-            rec.error = e.what();
-        } catch (const error& e) {
-            rec.status = core::point_status::analysis_failed;
-            rec.error = e.what();
-        }
-        return rec;
-    }
-
-    /// One stability grid point as a point_record.
-    [[nodiscard]] point_record record_from_grid_result(const core::grid_point_result& res)
-    {
-        point_record rec;
-        rec.index = res.point.index;
-        rec.point = res.point;
-        rec.status = res.status;
-        rec.error = res.error;
-        if (res.status != core::point_status::ok)
-            return rec;
-        rec.has_peak = res.node.has_peak;
-        if (res.node.has_peak) {
-            rec.fn_hz = res.node.dominant.freq_hz;
-            rec.peak = res.node.dominant.value;
-            rec.zeta = res.node.zeta;
-            rec.phase_margin_deg = res.node.phase_margin_est_deg;
-            rec.overshoot_pct = res.node.overshoot_est_pct;
-        }
-        rec.freq_hz = res.node.plot.freq_hz;
-        rec.magnitude = res.node.plot.magnitude;
-        return rec;
-    }
-
-} // namespace
 
 std::vector<point_record> run_shard(const campaign_spec& spec, std::size_t shard,
                                     std::size_t shard_count, std::size_t threads)
@@ -313,93 +175,37 @@ point_runner::point_runner(campaign_spec spec)
 
 point_record point_runner::run(std::size_t index) const
 {
-    if (spec_.analysis == campaign_analysis::impedance)
-        return run_impedance_point(spec_, tmpl_, spec_.impedance_options(1), index);
-    if (spec_.analysis == campaign_analysis::transient)
-        return run_transient_point(spec_, tmpl_, index);
-
-    const std::vector<core::grid_point_result> results = core::sweep_stability_grid(
-        [this](spice::circuit& c, const core::grid_point& pt) {
-            c = std::move(tmpl_.build(pt).ckt);
-            return spec_.node;
-        },
-        spec_.grid, index, index + 1, spec_.stability_options(1));
-    return record_from_grid_result(results.front());
-}
-
-json_value shard_to_json(const campaign_spec& spec, std::size_t shard,
-                         std::size_t shard_count, const std::vector<point_record>& records)
-{
-    const shard_range range = shard_slice(spec.grid.size(), shard, shard_count);
-    json_value doc = json_value::object();
-    doc.set("schema", json_value::str(shard_schema));
-    doc.set("campaign", to_json(spec));
-    json_value sh = json_value::object();
-    sh.set("index", json_value::number(shard));
-    sh.set("count", json_value::number(shard_count));
-    sh.set("begin", json_value::number(range.begin));
-    sh.set("end", json_value::number(range.end));
-    doc.set("shard", std::move(sh));
-    json_value recs = json_value::array();
-    for (const point_record& rec : records)
-        recs.push_back(point_record_to_json(rec));
-    doc.set("records", std::move(recs));
-    return doc;
-}
-
-std::vector<point_record> records_from_json(const json_value& shard_doc)
-{
-    if (const json_value* schema = shard_doc.find("schema");
-        schema == nullptr || schema->as_string() != shard_schema)
-        throw analysis_error("farm: not an acstab shard result (bad schema field)");
-    std::vector<point_record> records;
-    for (const json_value& rec : shard_doc.at("records").items())
-        records.push_back(point_record_from_json(rec));
-    return records;
-}
-
-json_value merge_shards(const campaign_spec& spec, const std::vector<json_value>& shard_docs)
-{
-    const std::size_t total = spec.grid.size();
-    const std::string spec_bytes = to_json(spec).dump();
-
-    // Slot every shard's records by global index, verifying coverage.
-    std::vector<const json_value*> slots(total, nullptr);
-    for (const json_value& doc : shard_docs) {
-        if (const json_value* schema = doc.find("schema");
-            schema == nullptr || schema->as_string() != shard_schema)
-            throw analysis_error("farm: merge input is not an acstab shard result");
-        if (doc.at("campaign").dump() != spec_bytes)
-            throw analysis_error("farm: shard was produced by a different campaign plan");
-        for (const json_value& rec : doc.at("records").items()) {
-            const std::size_t index = rec.at("index").as_index();
-            if (index >= total)
-                throw analysis_error("farm: record index " + std::to_string(index)
-                                     + " outside the grid");
-            if (slots[index] != nullptr)
-                throw analysis_error("farm: duplicate record for point "
-                                     + std::to_string(index));
-            slots[index] = &rec;
+    point_record rec;
+    rec.point = spec_.grid.point(index);
+    rec.index = rec.point.index;
+    // Every failure is recorded, never thrown: a pathological corner (a
+    // singular matrix, a non-convergent Newton solve, a parse error from
+    // an override) must not kill the other points of a campaign.
+    try {
+        spice::circuit c = std::move(tmpl_.build(rec.point).ckt);
+        switch (spec_.analysis) {
+        case campaign_analysis::impedance:
+            rec.impedance = impedance_summary(
+                analysis::analyze_impedance(c, spec_.node, spec_.impedance_options(1)));
+            break;
+        case campaign_analysis::transient:
+            rec.transient = transient_summary(
+                core::measure_tran_stability(c, spec_.node, spec_.transient_options()));
+            break;
+        case campaign_analysis::stability:
+            set_stability_summary(
+                rec, core::stability_analyzer(c, spec_.stability_options(1))
+                         .analyze_node(spec_.node));
+            break;
         }
+    } catch (const convergence_error& e) {
+        rec.status = point_status::dc_failed;
+        rec.error = e.what();
+    } catch (const error& e) {
+        rec.status = point_status::analysis_failed;
+        rec.error = e.what();
     }
-    std::size_t missing = 0;
-    for (const json_value* slot : slots)
-        missing += slot == nullptr ? 1 : 0;
-    if (missing != 0)
-        throw analysis_error("farm: merge is missing " + std::to_string(missing) + " of "
-                             + std::to_string(total) + " points");
-
-    // Re-serializing parsed records is byte-stable: numbers round-trip
-    // exactly and member order was fixed by the producer.
-    json_value report = json_value::object();
-    report.set("schema", json_value::str(report_schema));
-    report.set("campaign", json_value::parse(spec_bytes));
-    report.set("points", json_value::number(total));
-    json_value recs = json_value::array();
-    for (const json_value* slot : slots)
-        recs.push_back(*slot);
-    report.set("records", std::move(recs));
-    return report;
+    return rec;
 }
 
 std::string format_report(const json_value& report)

@@ -1,15 +1,14 @@
-// Per-shard campaign executor and deterministic merge.
+// Per-point campaign executor.
 //
-// run_shard() executes one contiguous slice of a campaign's grid points
-// through the regular analysis stack (core::stability_analyzer over
-// engine::sweep_engine, adaptive sweep included) and emits one
-// index-slotted record per point. Records carry the machine-readable
-// per-point frequency response — not just the summary table — because
-// downstream model-free estimation (Cooman et al.) consumes the raw
-// responses. merge_shards() reassembles shard documents into one report
-// whose bytes are identical to the single-process run: records are
-// keyed by global index, numbers round-trip exactly through the JSON
-// layer, and coverage is verified (every index exactly once).
+// point_runner runs one grid point through the regular analysis stack
+// (core::stability_analyzer, the impedance criterion or the transient
+// step response, adaptive sweep included) and returns one index-slotted
+// record; run_shard() runs it over a contiguous slice. Records carry the
+// machine-readable per-point response — not just the summary table —
+// because downstream model-free estimation (Cooman et al.) consumes the
+// raw responses. Shards are written as JSONL shard streams and merged by
+// farm/shard_store.h; a record's bytes do not depend on who ran it, so
+// every merge is byte-identical to the single-process run.
 #ifndef ACSTAB_FARM_EXECUTOR_H
 #define ACSTAB_FARM_EXECUTOR_H
 
@@ -18,15 +17,25 @@
 #include <string>
 #include <vector>
 
-#include "core/sweeps.h"
 #include "farm/campaign.h"
 #include "farm/json.h"
 
 namespace acstab::farm {
 
-/// Schema tags shared by shard documents and merged campaign reports.
-inline constexpr const char* shard_schema = "acstab-farm-shard-v1";
+/// Schema tag of merged campaign reports.
 inline constexpr const char* report_schema = "acstab-farm-report-v1";
+
+/// Per-point outcome classification. Anything but `ok` leaves the
+/// record's payload empty and its `error` text set.
+enum class point_status {
+    ok,              ///< analysis completed (the node may still have no peak)
+    dc_failed,       ///< a Newton solve (DC or transient step) did not converge
+    analysis_failed, ///< any other analysis error (singular matrix, ...)
+    /// The orchestrator exhausted the point's retry budget (worker crash
+    /// or wall-clock timeout on every attempt); point_runner never
+    /// produces it.
+    quarantined
+};
 
 /// Impedance-campaign summary and raw samples of one grid point (present
 /// when the campaign's analysis kind is impedance and the point is ok).
@@ -69,7 +78,7 @@ struct transient_point_summary {
 struct point_record {
     std::size_t index = 0; ///< stable global grid index
     core::grid_point point;
-    core::point_status status = core::point_status::ok;
+    point_status status = point_status::ok;
     std::string error;
 
     // Stability-campaign summary (meaningful when status == ok).
@@ -117,24 +126,8 @@ private:
 };
 
 /// Canonical JSON form of one point record (the byte layout shard
-/// documents, JSONL shard streams and merged reports all share).
+/// streams and merged reports share).
 [[nodiscard]] json_value point_record_to_json(const point_record& rec);
-[[nodiscard]] point_record point_record_from_json(const json_value& obj);
-
-/// Shard result document: campaign echo + slice + records.
-[[nodiscard]] json_value shard_to_json(const campaign_spec& spec, std::size_t shard,
-                                       std::size_t shard_count,
-                                       const std::vector<point_record>& records);
-
-/// Parse one shard document's records (validates the schema field).
-[[nodiscard]] std::vector<point_record> records_from_json(const json_value& shard_doc);
-
-/// Merge shard documents into the campaign report. Verifies that every
-/// shard echoes the same campaign spec and that the records cover every
-/// grid index exactly once; output records are ordered by global index,
-/// making the report byte-identical to a single-process run's.
-[[nodiscard]] json_value merge_shards(const campaign_spec& spec,
-                                      const std::vector<json_value>& shard_docs);
 
 /// Human-readable table of a merged report (label, fn, peak, zeta, PM;
 /// failed points print their status).

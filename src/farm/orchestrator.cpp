@@ -252,8 +252,14 @@ namespace {
                 || digits.find_first_not_of("0123456789") != std::string::npos)
                 continue;
             const std::size_t id = std::strtoul(digits.c_str(), nullptr, 10);
-            found.emplace_back(id, workdir + "/" + name);
             out.next_id = std::max(out.next_id, id + 1);
+            // A worker killed between creating its stream and writing the
+            // header leaves an empty file: it holds no records.
+            const std::string path = workdir + "/" + name;
+            struct stat st {};
+            if (::stat(path.c_str(), &st) == 0 && st.st_size == 0)
+                continue;
+            found.emplace_back(id, path);
         }
         ::closedir(dir);
         std::sort(found.begin(), found.end());
@@ -755,7 +761,7 @@ exec_summary exec_campaign(const campaign_spec& spec, const exec_options& opt)
         point_record rec;
         rec.point = spec.grid.point(idx);
         rec.index = idx;
-        rec.status = core::point_status::quarantined;
+        rec.status = point_status::quarantined;
         rec.error = err;
         extras.push_back(std::move(rec));
     }

@@ -47,6 +47,15 @@ namespace {
 
 } // namespace
 
+std::string shard_stream_header(const campaign_spec& spec, std::size_t writer_id)
+{
+    json_value header = json_value::object();
+    header.set("schema", json_value::str(shard_stream_schema));
+    header.set("campaign", to_json(spec));
+    header.set("worker", json_value::number(writer_id));
+    return header.dump() + "\n";
+}
+
 shard_writer::shard_writer(const std::string& path, const campaign_spec& spec,
                            std::size_t worker_id)
     : path_(path)
@@ -59,11 +68,7 @@ shard_writer::shard_writer(const std::string& path, const campaign_spec& spec,
     // its own — appending after a crash is the orchestrator's job to
     // forbid (it hands respawned workers fresh files), not ours.
     if (std::ftell(file_) == 0) {
-        json_value header = json_value::object();
-        header.set("schema", json_value::str(shard_stream_schema));
-        header.set("campaign", to_json(spec));
-        header.set("worker", json_value::number(worker_id));
-        const std::string line = header.dump() + "\n";
+        const std::string line = shard_stream_header(spec, worker_id);
         if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()
             || std::fflush(file_) != 0)
             throw analysis_error("farm: cannot write shard header to '" + path
@@ -119,8 +124,11 @@ shard_stream_scan scan_shard_stream(const std::string& path, const std::string& 
             const json_value* schema = header.find("schema");
             if (schema == nullptr || schema->type() != json_value::kind::string
                 || schema->as_string() != shard_stream_schema)
-                throw analysis_error("farm: '" + path
-                                     + "' is not an acstab shard stream (bad schema field)");
+                throw analysis_error(
+                    "farm: '" + path
+                    + "' is not an acstab shard stream (bad schema field); a whole-document "
+                      "shard from an older build cannot be merged — re-run 'acstab farm run' "
+                      "for that shard to write it as a shard stream");
             if (!spec_bytes.empty() && header.at("campaign").dump() != spec_bytes)
                 throw analysis_error("farm: shard file '" + path
                                      + "' was produced by a different campaign plan");
@@ -146,18 +154,6 @@ shard_stream_scan scan_shard_stream(const std::string& path, const std::string& 
         throw analysis_error("farm: '" + path
                              + "' is not an acstab shard stream (empty file)");
     return scan;
-}
-
-bool is_shard_stream_file(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    // Cheap sniff: the canonical header starts with the schema member.
-    const std::string magic = std::string("{\"schema\":\"") + shard_stream_schema + "\"";
-    std::string head(magic.size(), '\0');
-    in.read(head.data(), static_cast<std::streamsize>(head.size()));
-    return static_cast<std::size_t>(in.gcount()) == magic.size() && head == magic;
 }
 
 stream_merge_result merge_shard_streams(const campaign_spec& spec,
@@ -252,12 +248,13 @@ stream_merge_result merge_shard_streams(const campaign_spec& spec,
         throw analysis_error("farm: merge is missing " + std::to_string(missing) + " of "
                              + std::to_string(total) + " points (first missing index "
                              + std::to_string(first_missing)
-                             + "); re-run with 'acstab farm exec --resume' to finish them");
+                             + "); re-run the missing slices with 'acstab farm run --shard "
+                               "k/N', or finish a 'farm exec' campaign with 'acstab farm "
+                               "exec --resume'");
     }
 
     // Pass 2: emit the report record by record, one resident at a time.
-    // Bytes match merge_shards(): same prefix, same record bytes (the
-    // writer stored the canonical dump), same separators.
+    // The record bytes are the writers' canonical dumps.
     const std::string tmp_path = out_path.empty() ? std::string() : out_path + ".tmp";
     std::FILE* out = out_path.empty() ? stdout : std::fopen(tmp_path.c_str(), "wb");
     if (out == nullptr) {

@@ -1,18 +1,17 @@
-// Crash-safe append-only shard store + streaming merge.
+// Shard streams: the one shard format, its crash-safe writer and the
+// streaming merge.
 //
-// The work-stealing farm cannot use the one-document-per-shard format of
-// `farm run`: a worker that is killed mid-campaign must lose at most the
-// record it was writing, and a million-point merge must not hold the
-// whole report in memory. Shard STREAMS therefore are JSONL files —
-// line 1 is a header object (schema + byte-exact campaign echo + worker
-// id), every further line is one point record in the exact byte form
-// `point_record_to_json(rec).dump()`. Records are append-only and
-// record-atomic: each is written with a single fwrite of "record\n" and
-// flushed before the point is acknowledged, so after SIGKILL the file is
-// a valid prefix plus at most one truncated trailing line, which readers
-// detect (missing trailing newline) and drop — the orchestrator simply
-// re-runs that point, and because per-point analysis is deterministic
-// the re-run is byte-safe.
+// Every shard — a `farm run --shard k/N` slice or a `farm exec` worker's
+// output — is a JSONL file: line 1 is a header object (schema +
+// byte-exact campaign echo + writer id), every further line is one point
+// record in the exact byte form `point_record_to_json(rec).dump()`.
+// `farm run` writes its stream whole and renames it into place;
+// `farm exec` workers append record by record, each with a single fwrite
+// of "record\n" flushed before the point is acknowledged, so after
+// SIGKILL the file is a valid prefix plus at most one truncated trailing
+// line, which readers detect (missing trailing newline) and drop — the
+// orchestrator simply re-runs that point, and because per-point analysis
+// is deterministic the re-run is byte-safe.
 //
 // merge_shard_streams() is the O(1)-resident-records merge: a first pass
 // scans every shard line by line recording only {point index -> file,
@@ -20,8 +19,8 @@
 // global index order by seeking back into the shards. Duplicate records
 // for one index are legal iff byte-identical (a worker that died after
 // appending but before acknowledging leaves one; the retry appends an
-// identical copy); conflicting duplicates abort the merge. The emitted
-// bytes are identical to the in-memory merge_shards() path.
+// identical copy; the same shard merged twice folds the same way);
+// conflicting duplicates abort the merge.
 #ifndef ACSTAB_FARM_SHARD_STORE_H
 #define ACSTAB_FARM_SHARD_STORE_H
 
@@ -37,6 +36,11 @@ namespace acstab::farm {
 
 /// Schema tag on line 1 of every shard stream file.
 inline constexpr const char* shard_stream_schema = "acstab-farm-shardstream-v1";
+
+/// Line 1 of a shard stream, newline included: schema, campaign echo and
+/// the writer id (a `farm exec` worker id, or a `farm run` shard index).
+[[nodiscard]] std::string shard_stream_header(const campaign_spec& spec,
+                                              std::size_t writer_id);
 
 /// Append-only writer for one worker's shard stream. The header is
 /// written (and flushed) on creation of a fresh file; append() performs
@@ -85,11 +89,6 @@ struct shard_stream_scan {
 [[nodiscard]] shard_stream_scan scan_shard_stream(const std::string& path,
                                                   const std::string& spec_bytes);
 
-/// True when `path` starts with a shard-stream header (sniffs the first
-/// bytes; used by `farm merge` to dispatch between document shards and
-/// JSONL stream shards).
-[[nodiscard]] bool is_shard_stream_file(const std::string& path);
-
 struct stream_merge_result {
     std::size_t points = 0;
     /// Indices whose record came from `extra_records` (quarantined
@@ -101,17 +100,17 @@ struct stream_merge_result {
 
 /// Streaming merge of shard stream files (+ synthesized fallback records
 /// for quarantined points) into the campaign report at `out_path`,
-/// written atomically (temp file + rename; empty path = stdout). Bytes
-/// are identical to merge_shards() on the same records. Coverage is
-/// verified: every grid index exactly once, byte-identical duplicates
+/// written atomically (temp file + rename; empty path = stdout). Coverage
+/// is verified: every grid index exactly once, byte-identical duplicates
 /// folded. Resident memory is O(1) records plus O(points) slot refs.
 stream_merge_result merge_shard_streams(const campaign_spec& spec,
                                         const std::vector<std::string>& shard_paths,
                                         const std::vector<point_record>& extra_records,
                                         const std::string& out_path);
 
-/// Parse a whole-document farm JSON file's text with an actionable
-/// error: on malformed/truncated input, the analysis_error names the
+/// Parse a whole-document farm JSON text (a plan file, a report, a
+/// journal header line) with an actionable error: on malformed/truncated
+/// input, the analysis_error names the
 /// file, the byte offset and the likely cause (crashed writer) plus the
 /// --resume recovery hint instead of a bare parse failure.
 [[nodiscard]] json_value parse_shard_document(const std::string& text,

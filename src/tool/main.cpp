@@ -180,6 +180,14 @@ int cmd_stability(spice::circuit& c, const cli_options& opt)
         }
         return 0;
     }
+    // Once per process: `run` may execute several `.stability all` cards.
+    static bool adaptive_noted = false;
+    if (opt.adaptive && !adaptive_noted) {
+        std::fputs("acstab: --adaptive applies to single-node sweeps; all-nodes stability "
+                   "runs the fixed grid\n",
+                   stderr);
+        adaptive_noted = true;
+    }
     const core::stability_report rep = an.analyze_all_nodes();
     if (opt.csv)
         std::fputs(core::format_csv(rep).c_str(), stdout);
@@ -411,7 +419,7 @@ int cmd_gen(int argc, char** argv)
     return 0;
 }
 
-/// Read a whole file (farm plan / shard documents).
+/// Read a whole file (a farm plan or report).
 [[nodiscard]] std::string read_file(const std::string& path)
 {
     std::ifstream in(path, std::ios::binary);
@@ -422,10 +430,9 @@ int cmd_gen(int argc, char** argv)
     return buffer.str();
 }
 
-/// Emit a farm JSON document to --out (file) or stdout.
-void write_document(const farm::json_value& doc, const std::string& out_path)
+/// Emit a farm file's text to --out (atomically) or stdout.
+void write_output(const std::string& text, const std::string& out_path)
 {
-    const std::string text = doc.dump() + "\n";
     if (out_path.empty()) {
         std::fputs(text.c_str(), stdout);
         return;
@@ -568,7 +575,7 @@ int cmd_farm_plan(const std::string& netlist_path, const cli_options& opt)
         check_param(axis.name, "axis '" + axis.name + "'");
 
     const std::size_t points = spec.grid.size(); // validates the axes
-    write_document(farm::to_json(spec), opt.out);
+    write_output(farm::to_json(spec).dump() + "\n", opt.out);
     if (!opt.out.empty())
         std::printf("planned %zu-point campaign on %s (node %s) -> %s\n", points,
                     netlist_path.c_str(), spec.node.c_str(), opt.out.c_str());
@@ -584,7 +591,12 @@ int cmd_farm_run(const std::string& plan_path, const cli_options& opt)
         sh = parse_shard_spec(opt.shard);
     const std::vector<farm::point_record> records
         = farm::run_shard(spec, sh.index, sh.count, opt.threads);
-    write_document(farm::shard_to_json(spec, sh.index, sh.count, records), opt.out);
+    // The shard stream a `farm exec` worker writes, written whole: --out
+    // is replaced atomically, so a re-run never appends to an old shard.
+    std::string text = farm::shard_stream_header(spec, sh.index);
+    for (const farm::point_record& rec : records)
+        text += farm::point_record_to_json(rec).dump() + "\n";
+    write_output(text, opt.out);
     if (!opt.out.empty())
         std::printf("ran shard %zu/%zu: %zu points -> %s\n", sh.index + 1, sh.count,
                     records.size(), opt.out.c_str());
@@ -594,53 +606,28 @@ int cmd_farm_run(const std::string& plan_path, const cli_options& opt)
 int cmd_farm_merge(const std::string& plan_path, const cli_options& opt)
 {
     if (opt.positionals.empty())
-        throw analysis_error("farm merge: pass at least one shard result file");
+        throw analysis_error("farm merge: pass at least one shard stream");
     const farm::campaign_spec spec
         = farm::campaign_from_json(parse_document_file(plan_path));
 
-    // `farm run` emits whole-document shards; `farm exec` workers emit
-    // JSONL shard streams. Sniff which one we were handed.
-    std::size_t streams = 0;
-    for (const std::string& path : opt.positionals)
-        streams += farm::is_shard_stream_file(path) ? 1 : 0;
-    if (streams != 0 && streams != opt.positionals.size())
-        throw analysis_error("farm merge: cannot mix JSONL shard streams and shard "
-                             "documents in one merge");
-    if (streams != 0) {
-        // Streaming path: O(1) resident records regardless of campaign
-        // size. --table needs the parsed report, so it rides through a
-        // temp file when no --out was asked for.
-        const std::string out_path = !opt.out.empty()
-            ? opt.out
-            : (opt.table ? opt.positionals[0] + ".merged.tmp.json" : std::string());
-        const farm::stream_merge_result merged
-            = farm::merge_shard_streams(spec, opt.positionals, {}, out_path);
-        if (opt.table) {
-            const farm::json_value report = parse_document_file(out_path);
-            if (opt.out.empty())
-                std::remove(out_path.c_str());
-            std::fputs(farm::format_report(report).c_str(), stdout);
-            return 0;
-        }
-        if (!opt.out.empty())
-            std::printf("merged %zu shard stream(s), %zu points -> %s\n",
-                        opt.positionals.size(), merged.points, opt.out.c_str());
-        return 0;
-    }
-
-    std::vector<farm::json_value> shards;
-    shards.reserve(opt.positionals.size());
-    for (const std::string& path : opt.positionals)
-        shards.push_back(parse_document_file(path));
-    const farm::json_value report = farm::merge_shards(spec, shards);
+    // O(1) resident records regardless of campaign size. --table needs
+    // the parsed report, so it rides through a temp file when no --out
+    // was asked for.
+    const std::string out_path = !opt.out.empty()
+        ? opt.out
+        : (opt.table ? opt.positionals[0] + ".merged.tmp.json" : std::string());
+    const farm::stream_merge_result merged
+        = farm::merge_shard_streams(spec, opt.positionals, {}, out_path);
     if (opt.table) {
+        const farm::json_value report = parse_document_file(out_path);
+        if (opt.out.empty())
+            std::remove(out_path.c_str());
         std::fputs(farm::format_report(report).c_str(), stdout);
         return 0;
     }
-    write_document(report, opt.out);
     if (!opt.out.empty())
-        std::printf("merged %zu shard file(s), %zu points -> %s\n", opt.positionals.size(),
-                    report.at("records").items().size(), opt.out.c_str());
+        std::printf("merged %zu shard stream(s), %zu points -> %s\n", opt.positionals.size(),
+                    merged.points, opt.out.c_str());
     return 0;
 }
 
@@ -823,16 +810,16 @@ void print_usage()
     std::puts("                    [--analysis stability|impedance [--source e1,..]");
     std::puts("                     |transient [--source ELEM] [--tstop/--dt] [--step A]]");
     std::puts("                    (.temp / .corner / .tran netlist cards seed the grid)");
-    std::puts("              run   <plan.json> [--shard k/N] [--threads N] [--out f.json]");
+    std::puts("              run   <plan.json> [--shard k/N] [--threads N] [--out f.jsonl]");
+    std::puts("                    (writes the JSONL shard stream 'exec' workers write)");
     std::puts("              exec  <plan.json> [--workers N] [--dir D] [--out f.json]");
     std::puts("                    [--point-timeout S] [--retries N] [--resume] [--quiet]");
     std::puts("                    fault-tolerant multi-process run: work-stealing leases,");
     std::puts("                    per-point timeout, retry + quarantine, crash-safe JSONL");
     std::puts("                    shards, SIGINT-resumable (exit 0 ok, 3 = quarantined");
     std::puts("                    points, 130 = interrupted/resumable)");
-    std::puts("              merge <plan.json> <shard.json|worker.jsonl>...");
-    std::puts("                    [--out f.json | --table] (streams JSONL shards with");
-    std::puts("                    O(1) resident records)");
+    std::puts("              merge <plan.json> <shard.jsonl>... [--out f.json | --table]");
+    std::puts("                    (O(1) resident records)");
     std::puts("  serve       long-lived campaign service (JSON-lines protocol; see");
     std::puts("              README \"Serving\"): accepts plans as submit frames, runs");
     std::puts("              them through the fault-tolerant orchestrator, streams");

@@ -13,7 +13,6 @@
 #include "circuits/rlc.h"
 #include "common/error.h"
 #include "core/analyzer.h"
-#include "core/sweeps.h"
 #include "engine/linearized_snapshot.h"
 #include "engine/reference_sweep.h"
 #include "engine/sweep_engine.h"
@@ -195,35 +194,6 @@ TEST(engine_equivalence, single_node_mode_matches_all_nodes_entry)
     ASSERT_TRUE(single.has_peak);
     EXPECT_NEAR(single.zeta, 0.25, 0.01);
     EXPECT_NEAR(single.dominant.freq_hz, 2e6, 4e4);
-}
-
-TEST(engine_equivalence, parameter_sweep_parallel_matches_serial)
-{
-    const core::grid_circuit_factory factory
-        = [](spice::circuit& c, const core::grid_point& pt) {
-              circuits::add_parallel_rlc_tank(c, "tank", pt.overrides.at("zeta"), 1e6);
-              return std::string("tank");
-          };
-    core::param_grid grid;
-    grid.axes = {{"zeta", {0.1, 0.2, 0.3, 0.5, 0.7, 0.9}}};
-    core::stability_options opt;
-    opt.sweep.fstart = 1e4;
-    opt.sweep.fstop = 1e8;
-
-    opt.threads = 1;
-    const auto serial = core::sweep_stability_grid(factory, grid, opt);
-    opt.threads = 4;
-    const auto parallel = core::sweep_stability_grid(factory, grid, opt);
-
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].point.overrides, parallel[i].point.overrides);
-        ASSERT_EQ(serial[i].status, core::point_status::ok);
-        ASSERT_EQ(parallel[i].status, core::point_status::ok);
-        ASSERT_EQ(serial[i].node.has_peak, parallel[i].node.has_peak);
-        if (serial[i].node.has_peak)
-            EXPECT_NEAR(serial[i].node.zeta, parallel[i].node.zeta, 1e-9);
-    }
 }
 
 // --- snapshot internals ----------------------------------------------------

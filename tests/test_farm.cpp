@@ -1,5 +1,5 @@
-// Corner-farm subsystem: declarative grids, serializable shards,
-// deterministic merge.
+// Corner-farm subsystem: declarative grids, the per-point runner, shard
+// streams and their deterministic merge.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,11 +7,13 @@
 #include <fstream>
 #include <limits>
 
+#include "circuits/bias.h"
 #include "core/param_grid.h"
-#include "core/sweeps.h"
 #include "farm/campaign.h"
 #include "farm/executor.h"
 #include "farm/json.h"
+#include "farm/shard_store.h"
+#include "farm_report_oracle.h"
 #include "spice/parser/netlist_parser.h"
 
 #ifndef ACSTAB_NETLIST_DIR
@@ -334,28 +336,34 @@ re e 0 1k
     EXPECT_GT(std::fabs(v_cold - v_hot), 0.05); // VBE shifts with temp
 }
 
-// --- shard execution and merge --------------------------------------------
+// --- point runner, shard streams and merge --------------------------------
+
+using farm_test::merged_bytes;
+using farm_test::report_bytes;
+using farm_test::write_stream;
+
+/// Write `text` to a scratch netlist file and return its path.
+[[nodiscard]] std::string write_netlist(const std::string& path, const std::string& text)
+{
+    std::ofstream(path, std::ios::binary) << text;
+    return path;
+}
 
 TEST(farm_executor, two_shard_merge_is_byte_identical_to_single_run)
 {
     const farm::campaign_spec spec = tank_campaign();
-
-    const std::vector<farm::point_record> all = farm::run_shard(spec, 0, 1);
-    const farm::json_value single
-        = farm::merge_shards(spec, {farm::shard_to_json(spec, 0, 1, all)});
+    const std::string single = farm_test::expected_report_bytes(spec);
 
     const std::vector<farm::point_record> s0 = farm::run_shard(spec, 0, 2);
     const std::vector<farm::point_record> s1 = farm::run_shard(spec, 1, 2);
     EXPECT_EQ(s0.size() + s1.size(), spec.grid.size());
-    const farm::json_value sharded = farm::merge_shards(
-        spec, {farm::shard_to_json(spec, 0, 2, s0), farm::shard_to_json(spec, 1, 2, s1)});
-
-    EXPECT_EQ(single.dump(), sharded.dump());
-
+    const std::string a = write_stream("test_farm_s0.jsonl", spec, 0, s0);
+    const std::string b = write_stream("test_farm_s1.jsonl", spec, 1, s1);
+    EXPECT_EQ(merged_bytes(spec, {a, b}, "test_farm_merged.json"), single);
     // Shard order must not matter either.
-    const farm::json_value reversed = farm::merge_shards(
-        spec, {farm::shard_to_json(spec, 1, 2, s1), farm::shard_to_json(spec, 0, 2, s0)});
-    EXPECT_EQ(single.dump(), reversed.dump());
+    EXPECT_EQ(merged_bytes(spec, {b, a}, "test_farm_merged.json"), single);
+    // There is no third shard of two.
+    EXPECT_THROW((void)farm::run_shard(spec, 2, 2), analysis_error);
 }
 
 TEST(farm_executor, point_runner_matches_run_shard_bytes)
@@ -373,18 +381,15 @@ TEST(farm_executor, point_runner_matches_run_shard_bytes)
                   farm::point_record_to_json(batch[i]).dump())
             << "point " << i;
     }
+    // An index past the grid is a caller error, not a recorded failure.
+    EXPECT_THROW((void)runner.run(batch.size()), analysis_error);
 }
 
 TEST(farm_executor, threaded_run_matches_serial_bytes)
 {
     const farm::campaign_spec spec = tank_campaign();
-    const std::vector<farm::point_record> serial = farm::run_shard(spec, 0, 1, 1);
-    const std::vector<farm::point_record> threaded = farm::run_shard(spec, 0, 1, 4);
-    const std::string a
-        = farm::merge_shards(spec, {farm::shard_to_json(spec, 0, 1, serial)}).dump();
-    const std::string b
-        = farm::merge_shards(spec, {farm::shard_to_json(spec, 0, 1, threaded)}).dump();
-    EXPECT_EQ(a, b);
+    EXPECT_EQ(report_bytes(spec, farm::run_shard(spec, 0, 1, 1)),
+              report_bytes(spec, farm::run_shard(spec, 0, 1, 4)));
 }
 
 TEST(farm_executor, records_carry_summary_and_raw_response)
@@ -395,20 +400,130 @@ TEST(farm_executor, records_carry_summary_and_raw_response)
     const std::vector<farm::point_record> records = farm::run_shard(spec, 0, 1);
     ASSERT_EQ(records.size(), 2u);
     for (const farm::point_record& rec : records) {
-        EXPECT_EQ(rec.status, core::point_status::ok);
+        EXPECT_EQ(rec.status, farm::point_status::ok);
         EXPECT_TRUE(rec.has_peak);
         EXPECT_NEAR(rec.fn_hz, 1e6, 0.3e6);
         EXPECT_GT(rec.freq_hz.size(), 100u); // the raw response is recorded
         EXPECT_EQ(rec.freq_hz.size(), rec.magnitude.size());
     }
-    // JSON record round trip preserves everything.
-    const farm::json_value doc = farm::shard_to_json(spec, 0, 1, records);
-    const std::vector<farm::point_record> back = farm::records_from_json(doc);
-    ASSERT_EQ(back.size(), records.size());
-    EXPECT_EQ(back[1].index, records[1].index);
-    EXPECT_EQ(back[1].freq_hz, records[1].freq_hz);
-    EXPECT_EQ(back[1].magnitude, records[1].magnitude);
-    EXPECT_DOUBLE_EQ(back[0].zeta, records[0].zeta);
+    // The report JSON carries every value exactly.
+    const farm::json_value report = farm::json_value::parse(report_bytes(spec, records));
+    const auto& recs = report.at("records").items();
+    ASSERT_EQ(recs.size(), records.size());
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        EXPECT_EQ(recs[i].at("index").as_index(), records[i].index);
+        EXPECT_EQ(recs[i].at("zeta").as_number(), records[i].zeta);
+        const auto& freq = recs[i].at("freq_hz").items();
+        const auto& mag = recs[i].at("magnitude").items();
+        ASSERT_EQ(freq.size(), records[i].freq_hz.size());
+        ASSERT_EQ(mag.size(), records[i].magnitude.size());
+        for (std::size_t k = 0; k < freq.size(); ++k) {
+            EXPECT_EQ(freq[k].as_number(), records[i].freq_hz[k]);
+            EXPECT_EQ(mag[k].as_number(), records[i].magnitude[k]);
+        }
+    }
+}
+
+TEST(farm_executor, tank_damping_tracks_the_param_axis)
+{
+    // A .param axis rebuilds the tank from its netlist text at every
+    // point: zeta = sqrt(L/C) / (2 R) for the parallel tank.
+    farm::campaign_spec spec = tank_campaign();
+    spec.grid = {};
+    const std::vector<real> zetas{0.1, 0.2, 0.4};
+    core::param_axis rval{"rval", {}};
+    for (const real zeta : zetas)
+        rval.values.push_back(std::sqrt(25.3303e-6 / 1e-9) / (2.0 * zeta));
+    spec.grid.axes = {rval};
+    const std::vector<farm::point_record> records = farm::run_shard(spec, 0, 1);
+    ASSERT_EQ(records.size(), zetas.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        ASSERT_EQ(records[i].status, farm::point_status::ok) << records[i].error;
+        EXPECT_EQ(records[i].point.overrides.at("rval"), rval.values[i]);
+        ASSERT_TRUE(records[i].has_peak);
+        EXPECT_NEAR(records[i].zeta, zetas[i], 0.15 * zetas[i]);
+        EXPECT_NEAR(records[i].fn_hz, 1e6, 0.05e6);
+    }
+}
+
+/// The zero-TC bias reference of circuits::build_standalone_bias as
+/// netlist text: same devices, models and node order.
+constexpr const char* bias_netlist = R"(* zero-TC bias reference
+.model bnpn npn is=1e-16 bf=150 br=2 vaf=80 cje=0.25p vje=0.75 mje=0.33
++ cjc=0.15p vjc=0.6 mjc=0.4 tf=0.35n tr=10n
+.model bnpn8 npn is=8e-16 bf=150 br=2 vaf=80 cje=0.25p vje=0.75 mje=0.33
++ cjc=0.15p vjc=0.6 mjc=0.4 tf=0.35n tr=10n
+.model bpnp pnp is=1e-16 bf=60 br=4 vaf=50 cje=0.3p vje=0.75 mje=0.33
++ cjc=0.25p vjc=0.6 mjc=0.4 tf=1.2n tr=30n
+vdd_supply vdd 0 5
+q1 b_vbe b_vbe 0 bnpn
+q2 b_mir b_vbe b_e2 bnpn8
+r2 b_e2 0 5.4k
+q4 b_mir b_mir vdd bpnp
+q3 b_vbe b_mir vdd bpnp
+r1 b_vbe 0 200k
+rstart vdd b_vbe 500k
+cpar_mir b_mir 0 0.4p
+cpar_vbe b_vbe 0 0.2p
+rb7 b_mir b_fb 5.6k
+q7 vdd b_fb b_ref bnpn
+rpull b_ref 0 39k
+cpar_rail b_ref 0 3.3p
+q5 b_out b_vbe 0 bnpn
+rload vdd b_out 100k
+.end
+)";
+
+TEST(farm_executor, bias_temperature_campaign_matches_the_cpp_built_circuit)
+{
+    // The zero-TC reference's local loop must stay in the tens of MHz and
+    // under-damped across the industrial temperature range, and the TEMP
+    // axis must reach the junctions as the C++ builder's temperature does.
+    farm::campaign_spec spec;
+    spec.netlist = write_netlist("test_farm_bias.sp", bias_netlist);
+    spec.node = "b_ref";
+    spec.grid.temps = {-40.0, 27.0, 125.0};
+    const std::vector<farm::point_record> records = farm::run_shard(spec, 0, 1);
+    ASSERT_EQ(records.size(), 3u);
+    for (const farm::point_record& rec : records) {
+        const real temp = *rec.point.temp_celsius;
+        ASSERT_EQ(rec.status, farm::point_status::ok) << "T=" << temp << ": " << rec.error;
+        ASSERT_TRUE(rec.has_peak) << "T=" << temp;
+        EXPECT_GT(rec.fn_hz, 2e7) << "T=" << temp;
+        EXPECT_LT(rec.fn_hz, 1.2e8) << "T=" << temp;
+        EXPECT_LT(rec.zeta, 0.7) << "T=" << temp;
+
+        spice::circuit c;
+        circuits::bias_params bp;
+        bp.temp_celsius = temp;
+        const std::string rail = circuits::build_standalone_bias(c, bp).rail;
+        const core::node_stability built
+            = core::stability_analyzer(c, spec.stability_options(1)).analyze_node(rail);
+        ASSERT_TRUE(built.has_peak) << "T=" << temp;
+        // Last-bit differences in the parsed values move the Newton path,
+        // so the two agree to the DC tolerance; TEMP moves fn by ~10%.
+        EXPECT_NEAR(rec.fn_hz, built.dominant.freq_hz, 1e-6 * built.dominant.freq_hz)
+            << "T=" << temp;
+        EXPECT_NEAR(rec.zeta, built.zeta, 1e-6) << "T=" << temp;
+    }
+}
+
+TEST(farm_executor, dc_non_convergence_is_recorded_as_dc_failed)
+{
+    // A voltage source shorted by an inductor has no DC operating point:
+    // the point is recorded as dc_failed, not thrown.
+    farm::campaign_spec spec;
+    spec.netlist = write_netlist("test_farm_dc_short.sp", "* shorted source\n"
+                                                          "v1 a 0 dc 0 ac 1\n"
+                                                          "l1 a 0 1m\n"
+                                                          ".end\n");
+    spec.node = "a";
+    const std::vector<farm::point_record> records = farm::run_shard(spec, 0, 1);
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].status, farm::point_status::dc_failed);
+    EXPECT_FALSE(records[0].error.empty());
+    EXPECT_FALSE(records[0].has_peak);
+    EXPECT_TRUE(records[0].freq_hz.empty());
 }
 
 TEST(farm_executor, pathological_corner_is_recorded_not_thrown)
@@ -419,15 +534,14 @@ TEST(farm_executor, pathological_corner_is_recorded_not_thrown)
     spec.grid.corners = {{"dead", {{"rval", 0.0}}}, {"nominal", {}}};
     const std::vector<farm::point_record> records = farm::run_shard(spec, 0, 1);
     ASSERT_EQ(records.size(), 2u);
-    EXPECT_EQ(records[0].status, core::point_status::analysis_failed);
+    EXPECT_EQ(records[0].status, farm::point_status::analysis_failed);
     EXPECT_NE(records[0].error.find("resistance"), std::string::npos);
-    EXPECT_EQ(records[1].status, core::point_status::ok);
+    EXPECT_EQ(records[1].status, farm::point_status::ok);
     EXPECT_TRUE(records[1].has_peak);
 
-    // The failure still merges and renders.
-    const farm::json_value report
-        = farm::merge_shards(spec, {farm::shard_to_json(spec, 0, 1, records)});
-    const std::string table = farm::format_report(report);
+    // The failure still reports and renders.
+    const std::string table
+        = farm::format_report(farm::json_value::parse(report_bytes(spec, records)));
     EXPECT_NE(table.find("failed"), std::string::npos);
     EXPECT_NE(table.find("corner=nominal"), std::string::npos);
 }
@@ -477,7 +591,7 @@ TEST(farm_executor, impedance_shards_merge_byte_identical_and_carry_verdicts)
     const std::vector<farm::point_record> all = farm::run_shard(spec, 0, 1);
     ASSERT_EQ(all.size(), 3u);
     for (const farm::point_record& rec : all) {
-        ASSERT_EQ(rec.status, core::point_status::ok);
+        ASSERT_EQ(rec.status, farm::point_status::ok);
         ASSERT_TRUE(rec.impedance.has_value());
         EXPECT_TRUE(rec.impedance->stable);
         EXPECT_EQ(rec.impedance->encirclements, 0);
@@ -486,44 +600,58 @@ TEST(farm_executor, impedance_shards_merge_byte_identical_and_carry_verdicts)
         EXPECT_EQ(rec.impedance->freq_hz.size(), rec.impedance->lm_im.size());
     }
 
-    const farm::json_value single
-        = farm::merge_shards(spec, {farm::shard_to_json(spec, 0, 1, all)});
-    const farm::json_value sharded = farm::merge_shards(
-        spec, {farm::shard_to_json(spec, 0, 2, farm::run_shard(spec, 0, 2)),
-               farm::shard_to_json(spec, 1, 2, farm::run_shard(spec, 1, 2, 2))});
-    EXPECT_EQ(single.dump(), sharded.dump());
+    const std::string single = report_bytes(spec, all);
+    const std::string a
+        = write_stream("test_farm_imp_s0.jsonl", spec, 0, farm::run_shard(spec, 0, 2));
+    const std::string b
+        = write_stream("test_farm_imp_s1.jsonl", spec, 1, farm::run_shard(spec, 1, 2, 2));
+    EXPECT_EQ(merged_bytes(spec, {a, b}, "test_farm_imp_merged.json"), single);
 
-    // Records round-trip through JSON with the impedance payload intact.
-    const std::vector<farm::point_record> back
-        = farm::records_from_json(farm::shard_to_json(spec, 0, 1, all));
-    ASSERT_EQ(back.size(), all.size());
-    for (std::size_t i = 0; i < back.size(); ++i) {
-        ASSERT_TRUE(back[i].impedance.has_value());
-        EXPECT_EQ(back[i].impedance->stable, all[i].impedance->stable);
-        EXPECT_EQ(back[i].impedance->lm_re, all[i].impedance->lm_re);
-        EXPECT_EQ(back[i].impedance->lm_im, all[i].impedance->lm_im);
+    // The report JSON carries the impedance payload exactly.
+    const farm::json_value report = farm::json_value::parse(single);
+    const auto& recs = report.at("records").items();
+    ASSERT_EQ(recs.size(), all.size());
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        const farm::json_value& imp = recs[i].at("impedance");
+        EXPECT_EQ(imp.at("stable").as_bool(), all[i].impedance->stable);
+        const auto& re = imp.at("lm_re").items();
+        const auto& im = imp.at("lm_im").items();
+        ASSERT_EQ(re.size(), all[i].impedance->lm_re.size());
+        ASSERT_EQ(im.size(), all[i].impedance->lm_im.size());
+        for (std::size_t k = 0; k < re.size(); ++k) {
+            EXPECT_EQ(re[k].as_number(), all[i].impedance->lm_re[k]);
+            EXPECT_EQ(im[k].as_number(), all[i].impedance->lm_im[k]);
+        }
     }
 
     // The table renderer understands impedance reports.
-    const std::string table = farm::format_report(single);
+    const std::string table = farm::format_report(report);
     EXPECT_NE(table.find("impedance-campaign report"), std::string::npos);
     EXPECT_NE(table.find("stable"), std::string::npos);
 }
 
-TEST(farm_executor, merge_rejects_gaps_duplicates_and_foreign_shards)
+TEST(farm_executor, merge_rejects_gaps_conflicts_and_foreign_shards)
 {
     const farm::campaign_spec spec = tank_campaign();
     const std::vector<farm::point_record> s0 = farm::run_shard(spec, 0, 2);
-    const farm::json_value doc0 = farm::shard_to_json(spec, 0, 2, s0);
+    const std::string a = write_stream("test_farm_rej_s0.jsonl", spec, 0, s0);
+    const std::string b
+        = write_stream("test_farm_rej_s1.jsonl", spec, 1, farm::run_shard(spec, 1, 2));
+    const std::string out = "test_farm_rej_merged.json";
 
     // Missing the second shard.
-    EXPECT_THROW((void)farm::merge_shards(spec, {doc0}), analysis_error);
-    // Duplicate records.
-    EXPECT_THROW((void)farm::merge_shards(spec, {doc0, doc0}), analysis_error);
+    EXPECT_THROW((void)farm::merge_shard_streams(spec, {a}, {}, out), analysis_error);
+    // The same shard twice folds: its duplicates are byte-identical.
+    EXPECT_EQ(merged_bytes(spec, {a, b, a}, out), farm_test::expected_report_bytes(spec));
+    // A conflicting duplicate does not.
+    farm::point_record changed = s0[0];
+    changed.zeta += 1e-3;
+    const std::string c = write_stream("test_farm_rej_c.jsonl", spec, 2, {changed});
+    EXPECT_THROW((void)farm::merge_shard_streams(spec, {a, b, c}, {}, out), analysis_error);
     // Shard from a different campaign.
     farm::campaign_spec other = spec;
     other.points_per_decade = 17;
-    EXPECT_THROW((void)farm::merge_shards(other, {doc0}), analysis_error);
+    EXPECT_THROW((void)farm::merge_shard_streams(other, {a, b}, {}, out), analysis_error);
 }
 
 } // namespace

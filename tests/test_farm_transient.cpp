@@ -15,6 +15,7 @@
 #include "farm/campaign.h"
 #include "farm/executor.h"
 #include "farm/json.h"
+#include "farm_report_oracle.h"
 #include "spice/parser/netlist_parser.h"
 
 #ifndef ACSTAB_NETLIST_DIR
@@ -91,7 +92,7 @@ TEST(farm_transient, record_round_trips_byte_exactly)
     const std::vector<farm::point_record> records = farm::run_shard(spec, 0, 1);
     ASSERT_EQ(records.size(), 2u);
     for (const farm::point_record& rec : records) {
-        ASSERT_EQ(rec.status, core::point_status::ok) << rec.error;
+        ASSERT_EQ(rec.status, farm::point_status::ok) << rec.error;
         ASSERT_TRUE(rec.transient.has_value());
         EXPECT_TRUE(rec.transient->stable);
         EXPECT_GT(rec.transient->overshoot_pct, 30.0);
@@ -99,48 +100,38 @@ TEST(farm_transient, record_round_trips_byte_exactly)
         EXPECT_FALSE(rec.transient->time_s.empty());
         EXPECT_EQ(rec.transient->time_s.size(), rec.transient->value.size());
 
+        // The record's JSON carries the payload exactly and re-dumps to
+        // the same bytes.
         const farm::json_value obj = farm::point_record_to_json(rec);
-        const farm::point_record back = farm::point_record_from_json(obj);
-        EXPECT_EQ(farm::point_record_to_json(back).dump(), obj.dump());
-        ASSERT_TRUE(back.transient.has_value());
-        EXPECT_EQ(back.transient->zeta, rec.transient->zeta);
-        EXPECT_EQ(back.transient->value, rec.transient->value);
+        const farm::json_value back = farm::json_value::parse(obj.dump());
+        EXPECT_EQ(back.dump(), obj.dump());
+        const farm::json_value& tr = back.at("transient");
+        EXPECT_EQ(tr.at("zeta").as_number(), rec.transient->zeta);
+        const auto& value = tr.at("value").items();
+        ASSERT_EQ(value.size(), rec.transient->value.size());
+        for (std::size_t k = 0; k < value.size(); ++k)
+            EXPECT_EQ(value[k].as_number(), rec.transient->value[k]);
     }
 }
 
 TEST(farm_transient, two_shard_merge_is_byte_identical_to_single_run)
 {
     const farm::campaign_spec spec = loop_campaign();
-    const std::vector<farm::point_record> all = farm::run_shard(spec, 0, 1);
-    const std::vector<farm::point_record> s0 = farm::run_shard(spec, 0, 2);
-    const std::vector<farm::point_record> s1 = farm::run_shard(spec, 1, 2);
-
-    const std::string single
-        = farm::merge_shards(spec, {farm::shard_to_json(spec, 0, 1, all)}).dump();
-    const std::string sharded
-        = farm::merge_shards(spec, {farm::shard_to_json(spec, 0, 2, s0),
-                                    farm::shard_to_json(spec, 1, 2, s1)})
-              .dump();
-    EXPECT_EQ(single, sharded);
-
+    const std::string single = farm_test::expected_report_bytes(spec);
+    const std::string a = farm_test::write_stream("test_farm_tran_s0.jsonl", spec, 0,
+                                                  farm::run_shard(spec, 0, 2));
+    const std::string b = farm_test::write_stream("test_farm_tran_s1.jsonl", spec, 1,
+                                                  farm::run_shard(spec, 1, 2));
+    EXPECT_EQ(farm_test::merged_bytes(spec, {a, b}, "test_farm_tran_merged.json"), single);
     // Shard order must not matter either.
-    const std::string reversed
-        = farm::merge_shards(spec, {farm::shard_to_json(spec, 1, 2, s1),
-                                    farm::shard_to_json(spec, 0, 2, s0)})
-              .dump();
-    EXPECT_EQ(single, reversed);
+    EXPECT_EQ(farm_test::merged_bytes(spec, {b, a}, "test_farm_tran_merged.json"), single);
 }
 
 TEST(farm_transient, thread_count_does_not_change_record_bytes)
 {
     const farm::campaign_spec spec = loop_campaign();
-    const std::vector<farm::point_record> serial = farm::run_shard(spec, 0, 1, 1);
-    const std::vector<farm::point_record> threaded = farm::run_shard(spec, 0, 1, 4);
-    const std::string a
-        = farm::merge_shards(spec, {farm::shard_to_json(spec, 0, 1, serial)}).dump();
-    const std::string b
-        = farm::merge_shards(spec, {farm::shard_to_json(spec, 0, 1, threaded)}).dump();
-    EXPECT_EQ(a, b);
+    EXPECT_EQ(farm_test::report_bytes(spec, farm::run_shard(spec, 0, 1, 1)),
+              farm_test::report_bytes(spec, farm::run_shard(spec, 0, 1, 4)));
 }
 
 TEST(farm_transient, point_runner_matches_run_shard_bytes)
@@ -156,10 +147,8 @@ TEST(farm_transient, point_runner_matches_run_shard_bytes)
 TEST(farm_transient, report_table_shows_transient_columns)
 {
     const farm::campaign_spec spec = loop_campaign();
-    const std::vector<farm::point_record> all = farm::run_shard(spec, 0, 1);
-    const farm::json_value report
-        = farm::merge_shards(spec, {farm::shard_to_json(spec, 0, 1, all)});
-    const std::string table = farm::format_report(report);
+    const std::string table = farm::format_report(
+        farm::json_value::parse(farm_test::expected_report_bytes(spec)));
     EXPECT_NE(table.find("transient-campaign report, node 'out'"), std::string::npos);
     EXPECT_NE(table.find("overshoot"), std::string::npos);
     EXPECT_NE(table.find("equiv PM"), std::string::npos);
@@ -191,11 +180,11 @@ TEST(farm_transient, hierarchical_node_names_reach_reports)
     spec.tran_tstop = 1e-5;
     const std::vector<farm::point_record> recs = farm::run_shard(spec, 0, 1);
     ASSERT_EQ(recs.size(), 1u);
-    EXPECT_EQ(recs[0].status, core::point_status::ok) << recs[0].error;
+    EXPECT_EQ(recs[0].status, farm::point_status::ok) << recs[0].error;
     ASSERT_TRUE(recs[0].transient.has_value());
     EXPECT_TRUE(recs[0].transient->stable);
-    const std::string table = farm::format_report(
-        farm::merge_shards(spec, {farm::shard_to_json(spec, 0, 1, recs)}));
+    const std::string table
+        = farm::format_report(farm::json_value::parse(farm_test::report_bytes(spec, recs)));
     EXPECT_NE(table.find("x1.mid"), std::string::npos);
     std::remove(path.c_str());
 }

@@ -13,12 +13,15 @@
 #include <utility>
 #include <vector>
 
+#include <sys/wait.h>
+
 #include "common/error.h"
 #include "core/param_grid.h"
 #include "farm/campaign.h"
 #include "farm/executor.h"
 #include "farm/orchestrator.h"
 #include "farm/shard_store.h"
+#include "farm_report_oracle.h"
 
 #ifndef ACSTAB_TOOL_PATH
 #define ACSTAB_TOOL_PATH ""
@@ -63,23 +66,7 @@ c1 tank 0 {cval}
     return spec;
 }
 
-[[nodiscard]] std::string read_file_bytes(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
-/// The single-process ground truth: run every point in this process and
-/// merge the one shard; `farm exec` reports must match these bytes.
-[[nodiscard]] std::string legacy_report_bytes(const farm::campaign_spec& spec)
-{
-    const std::vector<farm::point_record> records = farm::run_shard(spec, 0, 1);
-    const farm::json_value doc = farm::shard_to_json(spec, 0, 1, records);
-    return farm::merge_shards(spec, {doc}).dump() + "\n";
-}
+using farm_test::read_file_bytes;
 
 /// Scratch campaign state (plan file + workdir), wiped per test.
 struct exec_fixture {
@@ -222,7 +209,7 @@ TEST(lease_ledger, complete_is_idempotent_and_accepts_recovered_records)
     farm::point_record rec;
     rec.point = spec.grid.point(index);
     rec.index = index;
-    rec.status = core::point_status::analysis_failed;
+    rec.status = farm::point_status::analysis_failed;
     rec.error = error;
     return rec;
 }
@@ -238,7 +225,7 @@ TEST(shard_stream, writer_scan_round_trip_and_truncated_tail_drop)
         writer.append(synthetic_record(spec, 0, "a"));
         writer.append(synthetic_record(spec, 2, "b"));
     }
-    EXPECT_TRUE(farm::is_shard_stream_file(path));
+    EXPECT_EQ(read_file_bytes(path).rfind(farm::shard_stream_header(spec, 7), 0), 0u);
     const farm::shard_stream_scan clean = farm::scan_shard_stream(path, spec_bytes);
     ASSERT_EQ(clean.records.size(), 2u);
     EXPECT_EQ(clean.records[0].point, 0u);
@@ -285,15 +272,15 @@ TEST(shard_stream, mid_file_corruption_error_is_actionable)
 
 TEST(shard_stream, truncated_document_error_is_actionable)
 {
-    // The whole-document (farm run) path gets the same treatment via
-    // parse_shard_document.
+    // Whole-document files (plans, the journal header) get the same
+    // treatment via parse_shard_document.
     try {
-        (void)farm::parse_shard_document("{\"schema\":\"acstab-farm-shard-v1\",\"rec",
-                                         "shard7.json");
+        (void)farm::parse_shard_document("{\"schema\":\"acstab-farm-journal-v1\",\"cam",
+                                         "journal.jsonl");
         FAIL() << "truncated document must not parse";
     } catch (const analysis_error& e) {
         const std::string what = e.what();
-        EXPECT_NE(what.find("shard7.json"), std::string::npos) << what;
+        EXPECT_NE(what.find("journal.jsonl"), std::string::npos) << what;
         EXPECT_NE(what.find("offset"), std::string::npos) << what;
         EXPECT_NE(what.find("--resume"), std::string::npos) << what;
     }
@@ -346,7 +333,9 @@ TEST(shard_stream, merge_missing_points_error_names_resume)
     } catch (const analysis_error& e) {
         const std::string what = e.what();
         EXPECT_NE(what.find("missing 3 of 4"), std::string::npos) << what;
-        EXPECT_NE(what.find("--resume"), std::string::npos) << what;
+        // Both producers of shard streams have a way to finish the gap.
+        EXPECT_NE(what.find("farm run --shard k/N"), std::string::npos) << what;
+        EXPECT_NE(what.find("farm exec --resume"), std::string::npos) << what;
     }
 }
 
@@ -363,9 +352,9 @@ TEST(shard_stream, quarantine_extras_fill_holes_but_lose_to_real_records)
         wa.append(synthetic_record(spec, 3, "x"));
     }
     farm::point_record q2 = synthetic_record(spec, 2, "quarantined after 3 attempts");
-    q2.status = core::point_status::quarantined;
+    q2.status = farm::point_status::quarantined;
     farm::point_record q3 = synthetic_record(spec, 3, "quarantined after 3 attempts");
-    q3.status = core::point_status::quarantined;
+    q3.status = farm::point_status::quarantined;
     const farm::stream_merge_result merged
         = farm::merge_shard_streams(spec, {a}, {q2, q3}, out);
     // Point 3 has a real record (worker died post-append), so only the
@@ -388,7 +377,7 @@ TEST(farm_exec, clean_run_matches_single_process_bytes)
     EXPECT_FALSE(sum.interrupted);
     EXPECT_EQ(sum.completed, 4u);
     EXPECT_TRUE(sum.quarantined.empty());
-    EXPECT_EQ(read_file_bytes(fx.out), legacy_report_bytes(fx.spec));
+    EXPECT_EQ(read_file_bytes(fx.out), farm_test::expected_report_bytes(fx.spec));
 }
 
 TEST(farm_exec, worker_kill_is_retried_to_byte_identical_report)
@@ -401,7 +390,7 @@ TEST(farm_exec, worker_kill_is_retried_to_byte_identical_report)
     const farm::exec_summary sum = farm::exec_campaign(fx.spec, fx.options());
     EXPECT_FALSE(sum.interrupted);
     EXPECT_TRUE(sum.quarantined.empty());
-    EXPECT_EQ(read_file_bytes(fx.out), legacy_report_bytes(fx.spec));
+    EXPECT_EQ(read_file_bytes(fx.out), farm_test::expected_report_bytes(fx.spec));
 }
 
 TEST(farm_exec, stalled_point_times_out_into_quarantine)
@@ -450,7 +439,7 @@ TEST(farm_exec, interrupt_then_resume_is_byte_identical)
     EXPECT_FALSE(resumed.interrupted);
     EXPECT_EQ(resumed.completed, 4u);
     EXPECT_TRUE(resumed.quarantined.empty());
-    EXPECT_EQ(read_file_bytes(fx.out), legacy_report_bytes(fx.spec));
+    EXPECT_EQ(read_file_bytes(fx.out), farm_test::expected_report_bytes(fx.spec));
 }
 
 TEST(farm_exec, nonexistent_report_directory_fails_before_any_work)
@@ -513,7 +502,7 @@ TEST(farm_exec, failed_final_merge_preserves_records_and_names_resume)
     opt.resume = true;
     const farm::exec_summary sum = farm::exec_campaign(fx.spec, opt);
     EXPECT_EQ(sum.completed, 4u);
-    EXPECT_EQ(read_file_bytes(fx.out), legacy_report_bytes(fx.spec));
+    EXPECT_EQ(read_file_bytes(fx.out), farm_test::expected_report_bytes(fx.spec));
 }
 
 TEST(farm_exec, on_point_hook_streams_each_record_as_it_lands)
@@ -535,7 +524,7 @@ TEST(farm_exec, on_point_hook_streams_each_record_as_it_lands)
         EXPECT_EQ(record.at("status").as_string(), "ok");
     }
     EXPECT_EQ(indices, (std::set<std::size_t>{0, 1, 2, 3}));
-    EXPECT_EQ(read_file_bytes(fx.out), legacy_report_bytes(fx.spec));
+    EXPECT_EQ(read_file_bytes(fx.out), farm_test::expected_report_bytes(fx.spec));
 }
 
 TEST(farm_exec, cancelled_hook_checkpoints_like_an_interrupt)
@@ -555,7 +544,21 @@ TEST(farm_exec, cancelled_hook_checkpoints_like_an_interrupt)
     const farm::exec_summary resumed = farm::exec_campaign(fx.spec, resume_opt);
     EXPECT_FALSE(resumed.interrupted);
     EXPECT_EQ(resumed.completed, 4u);
-    EXPECT_EQ(read_file_bytes(fx.out), legacy_report_bytes(fx.spec));
+    EXPECT_EQ(read_file_bytes(fx.out), farm_test::expected_report_bytes(fx.spec));
+}
+
+TEST(farm_exec, resume_skips_a_stream_whose_worker_died_before_its_header)
+{
+    const exec_fixture fx("emptystream");
+    ASSERT_EQ(farm::exec_campaign(fx.spec, fx.options()).completed, 4u);
+    // A worker stopped between creating its stream and writing the header
+    // leaves an empty file, which neither the recovery scan nor the final
+    // merge may refuse.
+    { std::ofstream(fx.workdir + "/worker-99.jsonl", std::ios::binary); }
+    farm::exec_options opt = fx.options();
+    opt.resume = true;
+    EXPECT_EQ(farm::exec_campaign(fx.spec, opt).completed, 4u);
+    EXPECT_EQ(read_file_bytes(fx.out), farm_test::expected_report_bytes(fx.spec));
 }
 
 TEST(farm_exec, fresh_exec_refuses_an_existing_campaign_dir)
@@ -569,7 +572,63 @@ TEST(farm_exec, fresh_exec_refuses_an_existing_campaign_dir)
     opt.resume = true;
     const farm::exec_summary again = farm::exec_campaign(fx.spec, opt);
     EXPECT_EQ(again.completed, 4u);
-    EXPECT_EQ(read_file_bytes(fx.out), legacy_report_bytes(fx.spec));
+    EXPECT_EQ(read_file_bytes(fx.out), farm_test::expected_report_bytes(fx.spec));
+}
+
+// --- the CLI's farm run and farm merge -----------------------------------
+
+/// Run the tool with `args`, stdout discarded and stderr into `err_path`;
+/// returns the exit status.
+int run_tool(const std::string& args, const std::string& err_path)
+{
+    const std::string cmd
+        = std::string(ACSTAB_TOOL_PATH) + " " + args + " > /dev/null 2> " + err_path;
+    const int rc = std::system(cmd.c_str());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+TEST(farm_cli, run_shards_merge_to_the_exec_report)
+{
+    // `farm run` slices write the same shard stream `farm exec` workers
+    // write, so their merge is the exec report, byte for byte.
+    const exec_fixture fx("cli");
+    ASSERT_EQ(farm::exec_campaign(fx.spec, fx.options()).completed, 4u);
+    const std::string err = "test_orch_cli.err";
+    ASSERT_EQ(run_tool("farm run " + fx.plan_path + " --shard 1/2 --out test_orch_cli_1.jsonl",
+                       err),
+              0)
+        << read_file_bytes(err);
+    ASSERT_EQ(run_tool("farm run " + fx.plan_path + " --shard 2/2 --out test_orch_cli_2.jsonl",
+                       err),
+              0)
+        << read_file_bytes(err);
+    // Reversed on purpose: records are slotted by index.
+    ASSERT_EQ(run_tool("farm merge " + fx.plan_path
+                           + " test_orch_cli_2.jsonl test_orch_cli_1.jsonl"
+                             " --out test_orch_cli_merged.json",
+                       err),
+              0)
+        << read_file_bytes(err);
+    EXPECT_EQ(read_file_bytes("test_orch_cli_merged.json"), read_file_bytes(fx.out));
+}
+
+TEST(farm_cli, merge_of_an_old_document_shard_names_the_file_and_farm_run)
+{
+    // Older builds' `farm run` wrote one JSON document per shard; the
+    // merge refuses it and says how to regenerate it.
+    const exec_fixture fx("cliold");
+    const std::string old_shard = "test_orch_cli_old_shard.json";
+    std::ofstream(old_shard, std::ios::binary)
+        << "{\"schema\":\"acstab-farm-shard-v1\",\"campaign\":" << farm::to_json(fx.spec).dump()
+        << ",\"shard\":{\"index\":0,\"count\":1,\"begin\":0,\"end\":4},\"records\":[]}\n";
+    const std::string err = "test_orch_cli_old.err";
+    EXPECT_EQ(run_tool("farm merge " + fx.plan_path + " " + old_shard
+                           + " --out test_orch_cli_old_merged.json",
+                       err),
+              1);
+    const std::string message = read_file_bytes(err);
+    EXPECT_NE(message.find(old_shard), std::string::npos) << message;
+    EXPECT_NE(message.find("re-run 'acstab farm run'"), std::string::npos) << message;
 }
 
 } // namespace

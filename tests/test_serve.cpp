@@ -11,7 +11,6 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -26,6 +25,7 @@
 #include "farm/campaign.h"
 #include "farm/executor.h"
 #include "farm/json.h"
+#include "farm_report_oracle.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 
@@ -69,22 +69,6 @@ c1 tank 0 {cval}
     spec.grid.temps = {0.0, 50.0};
     spec.grid.axes = {{"cval", {0.8e-9, 1.2e-9}}};
     return spec;
-}
-
-[[nodiscard]] std::string read_file_bytes(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
-[[nodiscard]] std::string legacy_report_bytes(const farm::campaign_spec& spec)
-{
-    const std::vector<farm::point_record> records = farm::run_shard(spec, 0, 1);
-    const farm::json_value doc = farm::shard_to_json(spec, 0, 1, records);
-    return farm::merge_shards(spec, {doc}).dump() + "\n";
 }
 
 [[nodiscard]] std::string submit_line(const std::string& id,
@@ -331,9 +315,9 @@ TEST(serve_e2e, streams_points_and_delivers_byte_identical_report)
 
     // The served report is byte-identical to the single-process path:
     // both the spliced frame payload and the on-disk report file.
-    const std::string truth = legacy_report_bytes(spec);
+    const std::string truth = farm_test::expected_report_bytes(spec);
     EXPECT_EQ(report.at("report").dump() + "\n", truth);
-    EXPECT_EQ(read_file_bytes(req_dir + "/report.json"), truth);
+    EXPECT_EQ(farm_test::read_file_bytes(req_dir + "/report.json"), truth);
 
     fx.stop();
     EXPECT_TRUE(fx.summary.drained);

@@ -103,18 +103,14 @@ std::vector<tran_row>& tran_rows()
 [[nodiscard]] double waveform_rel_err(const spice::tran_result& a,
                                       const spice::tran_result& b)
 {
-    if (a.time.size() != b.time.size())
+    if (a.time.size() != b.time.size() || a.unknowns != b.unknowns)
         return 1.0;
     double scale = 1.0;
-    for (const std::vector<real>& row : a.solution)
-        for (const real v : row)
-            scale = std::max(scale, std::fabs(static_cast<double>(v)));
+    for (const real v : a.states)
+        scale = std::max(scale, std::fabs(static_cast<double>(v)));
     double worst = 0.0;
-    for (std::size_t s = 0; s < a.time.size(); ++s)
-        for (std::size_t i = 0; i < a.solution[s].size(); ++i)
-            worst = std::max(worst,
-                             std::fabs(static_cast<double>(a.solution[s][i]
-                                                           - b.solution[s][i])));
+    for (std::size_t k = 0; k < a.states.size(); ++k)
+        worst = std::max(worst, std::fabs(static_cast<double>(a.states[k] - b.states[k])));
     return worst / scale;
 }
 
@@ -133,8 +129,7 @@ void ablate_circuit(const std::string& kind, spice::circuit& c, real tstop, real
     const double ms_oneshot = time_tran_ms(c, oneshot, res_oneshot, repeats);
     const double ms_shared = time_tran_ms(c, shared, res_shared, repeats);
     const double err = waveform_rel_err(res_oneshot, res_shared);
-    const std::size_t unknowns
-        = res_shared.solution.empty() ? 0 : res_shared.solution.front().size();
+    const std::size_t unknowns = res_shared.unknowns;
 
     tran_rows().push_back({kind, unknowns, "oneshot", ms_oneshot, 0, 0, 0.0});
     tran_rows().push_back({kind, unknowns, "shared", ms_shared,
@@ -196,7 +191,7 @@ void bm_buffer_transient(benchmark::State& state)
     opt.dt = opt.tstop / static_cast<real>(state.range(0));
     for (auto _ : state) {
         const spice::tran_result res = spice::transient(c, opt);
-        benchmark::DoNotOptimize(res.solution.data());
+        benchmark::DoNotOptimize(res.states.data());
     }
     state.counters["steps"] = static_cast<double>(state.range(0));
 }

@@ -71,12 +71,24 @@ impedance_partition partition_at_node(spice::circuit& c, const std::string& node
         forced.insert(name);
     }
 
+    // The nodes a device ties together: its terminals and, for a
+    // current-controlled source, those of its controlling voltage source,
+    // whose branch current its equation reads — a snapshot holding only
+    // one of the two would pin that current to zero.
+    const auto tied_nodes = [&c](const spice::device& dev) {
+        std::vector<spice::node_id> nodes = dev.nodes();
+        if (const std::string_view ctrl = dev.controlling_source(); !ctrl.empty())
+            if (const spice::device* src = c.find_device(ctrl))
+                nodes.insert(nodes.end(), src->nodes().begin(), src->nodes().end());
+        return nodes;
+    };
+
     // Connected components of the node graph with the partition node and
     // ground removed: the electrical "sides" of the cut.
     components comp(c.node_count());
     for (const auto& dev : c.devices()) {
         std::size_t first = c.node_count(); // invalid
-        for (const spice::node_id n : dev->nodes()) {
+        for (const spice::node_id n : tied_nodes(*dev)) {
             if (n < 0 || static_cast<std::size_t>(n) == port)
                 continue;
             const std::size_t k = static_cast<std::size_t>(n);
@@ -97,7 +109,7 @@ impedance_partition partition_at_node(spice::circuit& c, const std::string& node
     std::vector<side> comp_side(c.node_count(), side::undecided);
     std::vector<bool> comp_adjacent(c.node_count(), false);
     const auto component_of = [&](const spice::device& dev) -> std::size_t {
-        for (const spice::node_id n : dev.nodes())
+        for (const spice::node_id n : tied_nodes(dev))
             if (n >= 0 && static_cast<std::size_t>(n) != port)
                 return comp.find(static_cast<std::size_t>(n));
         return c.node_count(); // shunt: touches only port/ground

@@ -60,10 +60,12 @@ struct impedance_partition {
 };
 
 /// Split the circuit at `node`: connected components of the device graph
-/// with the partition node and ground removed become the sides. A
-/// component is source-side when it contains an independent source or a
-/// device named in `force_source`; everything else — including elements
-/// shunting the partition node straight to ground — is load-side.
+/// with the partition node and ground removed become the sides (a
+/// current-controlled source joins its controlling voltage source's
+/// component). A component is source-side when it contains an
+/// independent source or a device named in `force_source`; everything
+/// else — including elements shunting the partition node straight to
+/// ground — is load-side.
 /// Throws analysis_error when either side ends up empty (the partition
 /// is ambiguous; pass force_source) or the node is source-forced.
 [[nodiscard]] impedance_partition

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <type_traits>
 
 #include "common/error.h"
 
@@ -239,23 +240,46 @@ std::string json_value::dump() const
 
 namespace {
 
+    /// Recursive-descent parser behind parse() and parse_member(). Its
+    /// grammar is instantiated twice: Build = true makes the json_value,
+    /// Build = false (parse_member's scan) walks the same functions, so
+    /// every error and offset is parse()'s, but keeps nothing except the
+    /// one top-level member it was asked for.
     class json_parser {
     public:
         explicit json_parser(std::string_view text) : text_(text) {}
 
         [[nodiscard]] json_value run()
         {
-            json_value v = parse_value();
-            skip_ws();
-            if (pos_ != text_.size())
-                fail("trailing characters after the document");
+            json_value v = parse_value<true>();
+            finish();
             return v;
         }
 
+        [[nodiscard]] std::optional<json_value> run_member(std::string_view key)
+        {
+            member_ = key;
+            (void)parse_value<false>();
+            finish();
+            return std::move(found_);
+        }
+
     private:
+        /// What a scan returns for a value it does not keep.
+        struct skipped {};
+        template <bool Build>
+        using value_t = std::conditional_t<Build, json_value, skipped>;
+
         [[noreturn]] void fail(const std::string& what) const
         {
             throw parse_error("json: " + what + " at offset " + std::to_string(pos_));
+        }
+
+        void finish()
+        {
+            skip_ws();
+            if (pos_ != text_.size())
+                fail("trailing characters after the document");
         }
 
         void skip_ws()
@@ -288,7 +312,8 @@ namespace {
         /// anything near the limit is corrupt or hostile input).
         static constexpr int max_depth = 128;
 
-        [[nodiscard]] json_value parse_value()
+        template <bool Build>
+        [[nodiscard]] value_t<Build> parse_value()
         {
             skip_ws();
             const char c = peek();
@@ -296,40 +321,65 @@ namespace {
                 if (depth_ >= max_depth)
                     fail("nesting too deep");
                 ++depth_;
-                json_value v = c == '{' ? parse_object() : parse_array();
+                value_t<Build> v = c == '{' ? parse_object<Build>() : parse_array<Build>();
                 --depth_;
                 return v;
             }
-            if (c == '"')
-                return json_value::str(parse_string());
+            if (c == '"') {
+                std::string str = parse_string(Build);
+                if constexpr (Build)
+                    return json_value::str(std::move(str));
+                else
+                    return {};
+            }
             if (consume_literal("null"))
-                return json_value{};
-            if (consume_literal("true"))
-                return json_value::boolean(true);
-            if (consume_literal("false"))
-                return json_value::boolean(false);
-            return parse_number();
+                return {};
+            for (const bool b : {true, false}) {
+                if (consume_literal(b ? "true" : "false")) {
+                    if constexpr (Build)
+                        return json_value::boolean(b);
+                    else
+                        return {};
+                }
+            }
+            const real v = parse_number();
+            if constexpr (Build)
+                return json_value::number(v);
+            else
+                return {};
         }
 
-        [[nodiscard]] json_value parse_object()
+        template <bool Build>
+        [[nodiscard]] value_t<Build> parse_object()
         {
             ++pos_; // '{'
-            json_value obj = json_value::object();
+            value_t<Build> obj{};
+            if constexpr (Build)
+                obj = json_value::object();
             skip_ws();
             if (peek() == '}') {
                 ++pos_;
                 return obj;
             }
+            // A scan reads the top-level object's member names to find
+            // the one asked for and builds its value; a later duplicate
+            // replaces it, as set() does.
+            const bool top_scan = !Build && depth_ == 1;
             while (true) {
                 skip_ws();
                 if (peek() != '"')
                     fail("expected a member name");
-                std::string key = parse_string();
+                std::string key = parse_string(Build || top_scan);
                 skip_ws();
                 if (peek() != ':')
                     fail("expected ':'");
                 ++pos_;
-                obj.set(std::move(key), parse_value());
+                if constexpr (Build)
+                    obj.set(std::move(key), parse_value<true>());
+                else if (top_scan && key == member_)
+                    found_ = parse_value<true>();
+                else
+                    (void)parse_value<false>();
                 skip_ws();
                 const char c = peek();
                 if (c == ',') {
@@ -344,17 +394,23 @@ namespace {
             }
         }
 
-        [[nodiscard]] json_value parse_array()
+        template <bool Build>
+        [[nodiscard]] value_t<Build> parse_array()
         {
             ++pos_; // '['
-            json_value arr = json_value::array();
+            value_t<Build> arr{};
+            if constexpr (Build)
+                arr = json_value::array();
             skip_ws();
             if (peek() == ']') {
                 ++pos_;
                 return arr;
             }
             while (true) {
-                arr.push_back(parse_value());
+                if constexpr (Build)
+                    arr.push_back(parse_value<true>());
+                else
+                    (void)parse_value<false>();
                 skip_ws();
                 const char c = peek();
                 if (c == ',') {
@@ -369,10 +425,16 @@ namespace {
             }
         }
 
-        [[nodiscard]] std::string parse_string()
+        /// The string at pos_, decoded into the result when `keep`
+        /// (validated either way).
+        [[nodiscard]] std::string parse_string(bool keep)
         {
             ++pos_; // '"'
             std::string out;
+            const auto put = [&](char ch) {
+                if (keep)
+                    out.push_back(ch);
+            };
             while (true) {
                 if (pos_ >= text_.size())
                     fail("unterminated string");
@@ -380,21 +442,21 @@ namespace {
                 if (c == '"')
                     return out;
                 if (c != '\\') {
-                    out.push_back(c);
+                    put(c);
                     continue;
                 }
                 if (pos_ >= text_.size())
                     fail("unterminated escape");
                 const char e = text_[pos_++];
                 switch (e) {
-                case '"': out.push_back('"'); break;
-                case '\\': out.push_back('\\'); break;
-                case '/': out.push_back('/'); break;
-                case 'b': out.push_back('\b'); break;
-                case 'f': out.push_back('\f'); break;
-                case 'n': out.push_back('\n'); break;
-                case 'r': out.push_back('\r'); break;
-                case 't': out.push_back('\t'); break;
+                case '"': put('"'); break;
+                case '\\': put('\\'); break;
+                case '/': put('/'); break;
+                case 'b': put('\b'); break;
+                case 'f': put('\f'); break;
+                case 'n': put('\n'); break;
+                case 'r': put('\r'); break;
+                case 't': put('\t'); break;
                 case 'u': {
                     if (pos_ + 4 > text_.size())
                         fail("truncated \\u escape");
@@ -414,14 +476,14 @@ namespace {
                     // Encode as UTF-8 (the serializer only ever emits
                     // \u00xx control escapes, but accept the full BMP).
                     if (code < 0x80) {
-                        out.push_back(static_cast<char>(code));
+                        put(static_cast<char>(code));
                     } else if (code < 0x800) {
-                        out.push_back(static_cast<char>(0xc0 | (code >> 6)));
-                        out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+                        put(static_cast<char>(0xc0 | (code >> 6)));
+                        put(static_cast<char>(0x80 | (code & 0x3f)));
                     } else {
-                        out.push_back(static_cast<char>(0xe0 | (code >> 12)));
-                        out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
-                        out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+                        put(static_cast<char>(0xe0 | (code >> 12)));
+                        put(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+                        put(static_cast<char>(0x80 | (code & 0x3f)));
                     }
                     break;
                 }
@@ -430,17 +492,17 @@ namespace {
             }
         }
 
-        [[nodiscard]] json_value parse_number()
+        [[nodiscard]] real parse_number()
         {
             // Bare non-finite tokens: not valid JSON, but older acstab
             // builds dumped them via to_chars; keep reading those files.
             // (The serializer now emits the strings "nan"/"inf"/"-inf".)
             if (consume_literal("nan"))
-                return json_value::number(std::nan(""));
+                return std::nan("");
             if (consume_literal("inf"))
-                return json_value::number(std::numeric_limits<real>::infinity());
+                return std::numeric_limits<real>::infinity();
             if (consume_literal("-inf"))
-                return json_value::number(-std::numeric_limits<real>::infinity());
+                return -std::numeric_limits<real>::infinity();
             real v = 0.0;
             const char* begin = text_.data() + pos_;
             const char* end = text_.data() + text_.size();
@@ -448,12 +510,14 @@ namespace {
             if (r.ec != std::errc{} || r.ptr == begin)
                 fail("malformed number");
             pos_ = static_cast<std::size_t>(r.ptr - text_.data());
-            return json_value::number(v);
+            return v;
         }
 
         std::string_view text_;
         std::size_t pos_ = 0;
         int depth_ = 0;
+        std::string_view member_; ///< parse_member: the member sought
+        std::optional<json_value> found_;
     };
 
 } // namespace
@@ -461,6 +525,11 @@ namespace {
 json_value json_value::parse(std::string_view text)
 {
     return json_parser(text).run();
+}
+
+std::optional<json_value> json_value::parse_member(std::string_view text, std::string_view key)
+{
+    return json_parser(text).run_member(key);
 }
 
 } // namespace acstab::farm

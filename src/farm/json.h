@@ -20,6 +20,7 @@
 #define ACSTAB_FARM_JSON_H
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -70,6 +71,15 @@ public:
     /// Parse a complete JSON document; throws parse_error on malformed
     /// input or trailing garbage.
     [[nodiscard]] static json_value parse(std::string_view text);
+
+    /// Validate a complete JSON document as parse() does (the same
+    /// parse_error text and offset on malformed input) without building
+    /// it, and return the member `key` of its top-level object — the
+    /// last one, as parse() keeps it — or nullopt when the document is
+    /// not an object or has no such member. Only that member's value is
+    /// built.
+    [[nodiscard]] static std::optional<json_value> parse_member(std::string_view text,
+                                                                std::string_view key);
 
 private:
     void dump_into(std::string& out) const;

@@ -137,30 +137,56 @@ namespace {
         steady_clock::time_point point_start{};
         std::string buf;        ///< partial protocol line
         std::string shard_path; ///< this worker's append-only stream
+        /// Read descriptor on shard_path for the on_point streaming tail
+        /// reader, opened at its first read and kept for the worker's
+        /// lifetime (-1 = not open yet).
+        int tail_fd = -1;
         /// Byte offset of the next unread record line in shard_path (0 =
-        /// header not skipped yet); advanced per acknowledged point by the
-        /// on_point streaming tail reader.
+        /// header not skipped yet); advanced per acknowledged point.
         std::uint64_t tail_offset = 0;
     };
+
+    /// The complete line starting at `offset` of the worker's stream,
+    /// newline excluded; nullopt when the bytes there end without one.
+    [[nodiscard]] std::optional<std::string> read_line_at(int fd, std::uint64_t offset)
+    {
+        std::string line;
+        char chunk[8192];
+        while (true) {
+            ssize_t n;
+            do
+                n = ::pread(fd, chunk, sizeof chunk, static_cast<off_t>(offset + line.size()));
+            while (n < 0 && errno == EINTR);
+            if (n <= 0)
+                return std::nullopt;
+            const std::size_t got = static_cast<std::size_t>(n);
+            if (const void* nl = std::memchr(chunk, '\n', got)) {
+                line.append(chunk, static_cast<std::size_t>(static_cast<const char*>(nl) - chunk));
+                return line;
+            }
+            line.append(chunk, got);
+        }
+    }
 
     /// Read the one record line the worker appended (and flushed) before
     /// the acknowledgment that just arrived. Returns nullopt on any read
     /// hiccup — streaming is best-effort; the merge stays authoritative.
     [[nodiscard]] std::optional<std::string> read_appended_record(worker_proc& w)
     {
-        std::ifstream in(w.shard_path, std::ios::binary);
-        if (!in)
-            return std::nullopt;
-        std::string line;
-        if (w.tail_offset == 0) {
-            if (!std::getline(in, line) || in.eof())
+        if (w.tail_fd < 0) {
+            w.tail_fd = ::open(w.shard_path.c_str(), O_RDONLY | O_CLOEXEC);
+            if (w.tail_fd < 0)
                 return std::nullopt;
-            w.tail_offset = line.size() + 1;
         }
-        in.seekg(static_cast<std::streamoff>(w.tail_offset));
-        if (!std::getline(in, line) || in.eof())
-            return std::nullopt;
-        w.tail_offset += line.size() + 1;
+        if (w.tail_offset == 0) {
+            const std::optional<std::string> header = read_line_at(w.tail_fd, 0);
+            if (!header)
+                return std::nullopt;
+            w.tail_offset = header->size() + 1;
+        }
+        std::optional<std::string> line = read_line_at(w.tail_fd, w.tail_offset);
+        if (line)
+            w.tail_offset += line->size() + 1;
         return line;
     }
 
@@ -372,7 +398,8 @@ exec_summary exec_campaign(const campaign_spec& spec, const exec_options& opt)
         std::string header_line;
         if (!std::getline(in, header_line))
             throw analysis_error("farm exec: journal '" + journal_path + "' is empty");
-        const json_value header = parse_shard_document(header_line, journal_path);
+        const json_value header
+            = parse_farm_document(header_line, journal_path, farm_document::journal);
         const json_value* schema = header.find("schema");
         if (schema == nullptr || schema->as_string() != journal_schema)
             throw analysis_error("farm exec: '" + journal_path
@@ -463,6 +490,8 @@ exec_summary exec_campaign(const campaign_spec& spec, const exec_options& opt)
                     ::close(w.to_fd);
                 if (w.from_fd >= 0)
                     ::close(w.from_fd);
+                if (w.tail_fd >= 0)
+                    ::close(w.tail_fd);
             }
         }
     } guard{workers};
@@ -477,7 +506,9 @@ exec_summary exec_campaign(const campaign_spec& spec, const exec_options& opt)
             ::close(w.to_fd);
         if (w.from_fd >= 0)
             ::close(w.from_fd);
-        w.to_fd = w.from_fd = -1;
+        if (w.tail_fd >= 0)
+            ::close(w.tail_fd);
+        w.to_fd = w.from_fd = w.tail_fd = -1;
     };
 
     const auto user_interrupted = [&] {

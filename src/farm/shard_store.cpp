@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 
 #include <unistd.h>
 
@@ -134,16 +135,16 @@ shard_stream_scan scan_shard_stream(const std::string& path, const std::string& 
                                      + "' was produced by a different campaign plan");
             saw_header = true;
         } else {
-            json_value rec;
+            // Every complete record line must be valid JSON (only the
+            // very last line may be a crash casualty), but only its index
+            // is needed: the line is validated without building it.
+            std::optional<json_value> index;
             try {
-                rec = json_value::parse(line);
+                index = json_value::parse_member(line, "index");
             } catch (const parse_error& e) {
-                // Mid-file damage (every complete record line must parse;
-                // only the very last line may be a crash casualty).
                 throw_corrupt(path, offset, e.what());
             }
-            const json_value* index = rec.find("index");
-            if (index == nullptr)
+            if (!index)
                 throw_corrupt(path, offset, "record has no index field");
             scan.records.push_back({index->as_index(), offset, line.size()});
         }
@@ -308,17 +309,37 @@ stream_merge_result merge_shard_streams(const campaign_spec& spec,
     return result;
 }
 
-json_value parse_shard_document(const std::string& text, const std::string& name)
+json_value parse_farm_document(const std::string& text, const std::string& name,
+                               farm_document kind)
 {
     try {
         return json_value::parse(text);
     } catch (const parse_error& e) {
         // parse_error already reports "at offset N"; prepend the file and
-        // append the recovery route so the message stands on its own.
-        throw analysis_error("farm: cannot parse '" + name + "': " + e.what()
-                             + "; if this is a farm shard, the writing worker likely "
-                               "crashed mid-write — re-run with 'acstab farm exec "
-                               "--resume' (JSONL shards recover automatically)");
+        // what it is, and append the recovery that works for that kind.
+        std::string what;
+        std::string recovery;
+        switch (kind) {
+        case farm_document::plan:
+            what = "campaign plan";
+            recovery = "re-create the plan with 'acstab farm plan'";
+            break;
+        case farm_document::report:
+            what = "campaign report";
+            recovery = "re-create the report from its shard streams with 'acstab farm merge'";
+            break;
+        case farm_document::journal: {
+            const std::size_t slash = name.rfind('/');
+            const std::string dir = slash == std::string::npos ? "." : name.substr(0, slash);
+            what = "campaign journal";
+            recovery = "the campaign cannot resume from it, but the worker streams beside it "
+                       "still merge: 'acstab farm merge PLAN "
+                + dir + "/worker-*.jsonl --out REPORT'";
+            break;
+        }
+        }
+        throw analysis_error("farm: cannot parse " + what + " '" + name + "': " + e.what()
+                             + "; " + recovery);
     }
 }
 

@@ -108,13 +108,20 @@ stream_merge_result merge_shard_streams(const campaign_spec& spec,
                                         const std::vector<point_record>& extra_records,
                                         const std::string& out_path);
 
-/// Parse a whole-document farm JSON text (a plan file, a report, a
-/// journal header line) with an actionable error: on malformed/truncated
-/// input, the analysis_error names the
-/// file, the byte offset and the likely cause (crashed writer) plus the
-/// --resume recovery hint instead of a bare parse failure.
-[[nodiscard]] json_value parse_shard_document(const std::string& text,
-                                              const std::string& name);
+/// The farm's whole-document JSON files.
+enum class farm_document {
+    plan,    ///< `acstab farm plan` output
+    report,  ///< a merged campaign report
+    journal, ///< the journal header line of a `farm exec` workdir
+};
+
+/// Parse a whole-document farm JSON text with an actionable error: on
+/// malformed or truncated input the analysis_error names the kind of
+/// document, the file and the byte offset, plus a recovery that works
+/// for that kind (re-create a plan with `farm plan`, a report with
+/// `farm merge`; a broken journal's worker streams still merge).
+[[nodiscard]] json_value parse_farm_document(const std::string& text, const std::string& name,
+                                             farm_document kind);
 
 } // namespace acstab::farm
 

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
-#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -167,9 +166,14 @@ namespace {
                                            + eopt.workdir),
                            wake_fd);
             } else {
-                std::ifstream in(eopt.out, std::ios::binary);
-                std::string report((std::istreambuf_iterator<char>(in)),
-                                   std::istreambuf_iterator<char>());
+                // One read of the whole file: a report runs to megabytes,
+                // and a character-wise istreambuf_iterator copy of it cost
+                // the served request milliseconds.
+                std::ifstream in(eopt.out, std::ios::binary | std::ios::ate);
+                std::string report(in ? static_cast<std::size_t>(in.tellg()) : 0, '\0');
+                if (!in.seekg(0)
+                    || !in.read(report.data(), static_cast<std::streamsize>(report.size())))
+                    report.clear();
                 if (report.empty())
                     throw analysis_error("serve: merged report '" + eopt.out
                                          + "' is unreadable");

@@ -181,6 +181,11 @@ public:
     /// source-forced nodes that the stability sweep must skip).
     [[nodiscard]] virtual bool is_ideal_voltage_source() const noexcept { return false; }
 
+    /// Name of the voltage source whose branch current this device's
+    /// equation reads (the current-controlled sources); empty for every
+    /// other device.
+    [[nodiscard]] virtual std::string_view controlling_source() const noexcept { return {}; }
+
     /// Index of this device's k-th branch-current unknown (valid after
     /// circuit::finalize for k < extra_unknown_count()). Lets analyses
     /// that stamp a FILTERED device subset (impedance partitions) pin the

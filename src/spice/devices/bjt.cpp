@@ -8,7 +8,9 @@ namespace acstab::spice {
 
 bjt::bjt(std::string name, node_id collector, node_id base, node_id emitter, bjt_model model)
     : device(std::move(name), {collector, base, emitter}), model_(model),
-      pol_(model.polarity == bjt_polarity::npn ? 1.0 : -1.0)
+      pol_(model.polarity == bjt_polarity::npn ? 1.0 : -1.0),
+      vcrit_f_(junction_vcrit(model.is, model.nf * thermal_voltage(model.temp))),
+      vcrit_r_(junction_vcrit(model.is, model.nr * thermal_voltage(model.temp)))
 {
 }
 
@@ -53,8 +55,8 @@ bjt::eval_result bjt::evaluate(real vbe, real vbc) const noexcept
     return r;
 }
 
-void bjt::stamp_linearized(const std::vector<real>& x, const stamp_params& p,
-                           system_builder<real>& b)
+bjt::eval_result bjt::stamp_linearized(const std::vector<real>& x, const stamp_params& p,
+                                       system_builder<real>& b)
 {
     const node_id nc = nodes()[0];
     const node_id nb = nodes()[1];
@@ -66,8 +68,8 @@ void bjt::stamp_linearized(const std::vector<real>& x, const stamp_params& p,
 
     const real vbe_in = pol_ * unknown_voltage(x, nb, ne);
     const real vbc_in = pol_ * unknown_voltage(x, nb, nc);
-    const real vbe = pnjlim(vbe_in, vbe_state_, nvt_f, junction_vcrit(model_.is, nvt_f));
-    const real vbc = pnjlim(vbc_in, vbc_state_, nvt_r, junction_vcrit(model_.is, nvt_r));
+    const real vbe = pnjlim(vbe_in, vbe_state_, nvt_f, vcrit_f_);
+    const real vbc = pnjlim(vbc_in, vbc_state_, nvt_r, vcrit_r_);
     if (vbe != vbe_in || vbc != vbc_in)
         b.note_limited();
     vbe_state_ = vbe;
@@ -114,11 +116,12 @@ void bjt::stamp_linearized(const std::vector<real>& x, const stamp_params& p,
     // Convergence shunts across both junctions.
     b.conductance(nb, ne, p.gmin);
     b.conductance(nb, nc, p.gmin);
+    return r;
 }
 
 void bjt::stamp_dc(const std::vector<real>& x, const stamp_params& p, system_builder<real>& b)
 {
-    stamp_linearized(x, p, b);
+    (void)stamp_linearized(x, p, b);
 }
 
 void bjt::stamp_ac(const std::vector<real>& op, const ac_params& p, system_builder<cplx>& b) const
@@ -160,8 +163,8 @@ void bjt::tran_begin(const std::vector<real>& op)
 
 void bjt::stamp_tran(const std::vector<real>& x, const tran_params& p, system_builder<real>& b)
 {
-    stamp_linearized(x, p.dc, b);
-    const eval_result r = evaluate(vbe_state_, vbc_state_);
+    // The junction capacitances at the limited voltages just linearized.
+    const eval_result r = stamp_linearized(x, p.dc, b);
     cap_be_.stamp(b, nodes()[1], nodes()[2], r.cbe, p);
     cap_bc_.stamp(b, nodes()[1], nodes()[0], r.cbc, p);
 }

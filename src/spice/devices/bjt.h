@@ -82,11 +82,18 @@ private:
         real cbc = 0.0;
     };
     [[nodiscard]] eval_result evaluate(real vbe, real vbc) const noexcept;
-    void stamp_linearized(const std::vector<real>& x, const stamp_params& p,
-                          system_builder<real>& b);
+    /// Stamp the Newton linearization at x (junction voltages limited);
+    /// returns the evaluation at the limited voltages it stamped.
+    eval_result stamp_linearized(const std::vector<real>& x, const stamp_params& p,
+                                 system_builder<real>& b);
 
     bjt_model model_;
     real pol_ = 1.0;
+    /// Junction limiter thresholds (pnjlim's vcrit) of the forward and
+    /// reverse junctions: functions of the fixed model alone, so they are
+    /// computed once instead of two logarithms per stamp.
+    real vcrit_f_ = 0.0;
+    real vcrit_r_ = 0.0;
     real vbe_state_ = 0.0;
     real vbc_state_ = 0.0;
     companion_cap cap_be_;

@@ -52,6 +52,10 @@ public:
     cccs(std::string name, node_id p, node_id m, std::string ctrl_vsource, real gain);
 
     [[nodiscard]] std::string_view type_name() const noexcept override { return "cccs"; }
+    [[nodiscard]] std::string_view controlling_source() const noexcept override
+    {
+        return ctrl_name_;
+    }
     void bind(const circuit& c) override;
 
     void stamp_dc(const std::vector<real>& x, const stamp_params& p,
@@ -73,6 +77,10 @@ public:
     [[nodiscard]] std::string_view type_name() const noexcept override { return "ccvs"; }
     [[nodiscard]] std::size_t extra_unknown_count() const noexcept override { return 1; }
     [[nodiscard]] node_id branch() const noexcept { return extra(0); }
+    [[nodiscard]] std::string_view controlling_source() const noexcept override
+    {
+        return ctrl_name_;
+    }
     void bind(const circuit& c) override;
 
     void stamp_dc(const std::vector<real>& x, const stamp_params& p,

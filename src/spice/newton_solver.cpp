@@ -20,14 +20,19 @@ system_builder<real>& newton_solver::begin_stamp()
     return builder_;
 }
 
-bool newton_solver::pattern_matches() const noexcept
+bool newton_solver::deposit()
 {
     const auto& entries = builder_.matrix().entries();
-    if (entries.size() != entry_row_.size())
+    if (entries.size() != recorded_.size())
         return false;
-    for (std::size_t k = 0; k < entries.size(); ++k)
-        if (entries[k].row != entry_row_[k] || entries[k].col != entry_col_[k])
+    auto& values = csc_.values_mut();
+    std::fill(values.begin(), values.end(), 0.0);
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+        const recorded_stamp& r = recorded_[k];
+        if (entries[k].row != r.row || entries[k].col != r.col)
             return false;
+        values[r.slot] += entries[k].value;
+    }
     return true;
 }
 
@@ -36,12 +41,9 @@ void newton_solver::rebuild_pattern()
     const auto& entries = builder_.matrix().entries();
     const std::size_t m = entries.size();
 
-    entry_row_.resize(m);
-    entry_col_.resize(m);
-    for (std::size_t k = 0; k < m; ++k) {
-        entry_row_[k] = entries[k].row;
-        entry_col_[k] = entries[k].col;
-    }
+    recorded_.resize(m);
+    for (std::size_t k = 0; k < m; ++k)
+        recorded_[k] = {entries[k].row, entries[k].col, 0};
 
     // Sort entry indices by (col, row) — the csc_matrix triplet
     // constructor's order — keeping the stamp order within duplicate
@@ -49,23 +51,22 @@ void newton_solver::rebuild_pattern()
     std::vector<std::size_t> order(m);
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return entry_col_[a] != entry_col_[b] ? entry_col_[a] < entry_col_[b]
-                                              : entry_row_[a] < entry_row_[b];
+        return recorded_[a].col != recorded_[b].col ? recorded_[a].col < recorded_[b].col
+                                                    : recorded_[a].row < recorded_[b].row;
     });
 
     std::vector<std::size_t> col_ptr(n_ + 1, 0);
     std::vector<std::size_t> row_idx;
-    slot_.assign(m, 0);
     std::size_t slots = 0;
     for (std::size_t k = 0; k < m; ++k) {
-        const std::size_t e = order[k];
-        if (k == 0 || entry_col_[e] != entry_col_[order[k - 1]]
-            || entry_row_[e] != entry_row_[order[k - 1]]) {
-            row_idx.push_back(entry_row_[e]);
-            ++col_ptr[entry_col_[e] + 1];
+        recorded_stamp& e = recorded_[order[k]];
+        if (k == 0 || e.col != recorded_[order[k - 1]].col
+            || e.row != recorded_[order[k - 1]].row) {
+            row_idx.push_back(e.row);
+            ++col_ptr[e.col + 1];
             ++slots;
         }
-        slot_[e] = slots - 1;
+        e.slot = slots - 1;
     }
     for (std::size_t c = 0; c < n_; ++c)
         col_ptr[c + 1] += col_ptr[c];
@@ -75,7 +76,7 @@ void newton_solver::rebuild_pattern()
     has_pattern_ = false;
     csc_ = numeric::csc_matrix<real>(n_, n_, std::move(col_ptr), std::move(row_idx),
                                      std::vector<real>(slots, 0.0));
-    deposit();
+    (void)deposit();
     num_ = std::make_unique<numeric::numeric_lu<real>>(
         std::make_shared<const numeric::symbolic_lu<real>>(csc_));
     num_->set_supernodal(true);
@@ -84,26 +85,16 @@ void newton_solver::rebuild_pattern()
     has_pattern_ = true;
 }
 
-void newton_solver::deposit()
-{
-    const auto& entries = builder_.matrix().entries();
-    auto& values = csc_.values_mut();
-    std::fill(values.begin(), values.end(), 0.0);
-    for (std::size_t k = 0; k < entries.size(); ++k)
-        values[slot_[k]] += entries[k].value;
-}
-
-std::vector<real> newton_solver::solve()
+void newton_solver::solve(std::vector<real>& x)
 {
     ++stats_.solves;
 
     if (!has_pattern_) {
         rebuild_pattern();
-    } else if (!pattern_matches()) {
+    } else if (!deposit()) {
         ++stats_.pattern_rebuilds;
         rebuild_pattern();
     } else {
-        deposit();
         const auto guard = num_->factor(csc_);
         if (guard.probed)
             ++stats_.guard_probes;
@@ -113,9 +104,9 @@ std::vector<real> newton_solver::solve()
         }
     }
 
-    std::vector<real> x = builder_.rhs();
-    num_->solve_in_place(x.data());
-    return x;
+    const real* b = builder_.rhs().data();
+    x.resize(n_);
+    num_->solve_batch(&b, 1, x.data());
 }
 
 namespace {
@@ -156,21 +147,22 @@ namespace {
 } // namespace
 
 newton_outcome newton_iterate(std::vector<real>& x, std::size_t nodes, const newton_rules& rules,
-                              const stamp_pass& stamp, newton_solver* shared, solver_kind oneshot)
+                              stamp_pass stamp, newton_solver* shared, solver_kind oneshot)
 {
     newton_outcome out;
     bool passed = false; // the tolerance test passed; later steps polish
     int polish_steps = 0;
+    std::vector<real> oneshot_x;
+    std::vector<real>& x_new = shared ? shared->candidate() : oneshot_x;
     for (int it = 0; it < rules.max_iterations; ++it) {
         out.iterations = it + 1;
-        std::vector<real> x_new;
         bool limited = false;
         try {
             if (shared) {
                 system_builder<real>& b = shared->begin_stamp();
                 stamp(x, b);
                 limited = b.limited() > 0;
-                x_new = shared->solve();
+                shared->solve(x_new);
             } else {
                 system_builder<real> b(x.size());
                 stamp(x, b);
@@ -192,7 +184,7 @@ newton_outcome newton_iterate(std::vector<real>& x, std::size_t nodes, const new
         const update_size u = measure_update(x, x_new, nodes, rules);
         out.worst_delta = u.worst;
         if (passed || (u.within_tol && !limited)) {
-            x = std::move(x_new);
+            x.swap(x_new);
             passed = true;
             if (u.at_roundoff || polish_steps == rules.max_polish) {
                 out.converged = true;
@@ -205,7 +197,7 @@ newton_outcome newton_iterate(std::vector<real>& x, std::size_t nodes, const new
         if (rules.max_step > 0.0)
             for (std::size_t i = 0; i < nodes; ++i)
                 x_new[i] = std::clamp(x_new[i], x[i] - rules.max_step, x[i] + rules.max_step);
-        x = std::move(x_new);
+        x.swap(x_new);
     }
     out.converged = passed; // the budget ran out while polishing
     return out;

@@ -26,13 +26,19 @@
 // like the csc_matrix triplet constructor).
 //
 // The pattern is *observed*, never assumed: every stamp pass is verified
-// against the recorded (row, col) sequence in O(nnz), because
-// triplet_matrix::add drops exact-zero values — a device conductance
-// crossing zero (a MOSFET entering cutoff, a junction with vanishing gm)
-// or a DC rung adding gshunt changes the stamp sequence even though the
-// topology did not. Any mismatch is a pattern-breaking event: the CSC
-// pattern, slot map and symbolic factorization are rebuilt and the run
-// continues.
+// against the recorded (row, col) sequence in the same O(nnz) pass that
+// deposits it, because triplet_matrix::add drops exact-zero values — a
+// device conductance crossing zero (a MOSFET entering cutoff, a junction
+// with vanishing gm) or a DC rung adding gshunt changes the stamp
+// sequence even though the topology did not. Any mismatch is a
+// pattern-breaking event: the CSC pattern, slot map and symbolic
+// factorization are rebuilt and the run continues.
+//
+// In the steady state a Newton iteration allocates nothing: the stamp
+// pass refills the builder's kept capacity, the solution lands in the
+// solver's candidate buffer, which newton_iterate swaps with the iterate,
+// and a small circuit's one-supernode factor refactors in place
+// (numeric_lu::refactor).
 //
 // Numeric safety is numeric_lu::factor's guard, the one every reused
 // pivot order goes through: a zero pivot, or element growth confirmed by
@@ -43,9 +49,9 @@
 #define ACSTAB_SPICE_NEWTON_SOLVER_H
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "numeric/sparse_factor.h"
@@ -78,32 +84,43 @@ public:
 
     /// Deposit the stamped values into the fixed CSC pattern, refactor
     /// under the held pivot order (numeric_lu::factor) and solve for the
-    /// stamped RHS. Throws numeric_error when the system is singular even
-    /// under a fresh pivot order.
-    [[nodiscard]] std::vector<real> solve();
+    /// stamped RHS into x, resized to the system size (no allocation once
+    /// x has that capacity). Throws numeric_error, x untouched, when the
+    /// system is singular even under a fresh pivot order.
+    void solve(std::vector<real>& x);
+
+    /// The Newton loop's candidate buffer: newton_iterate solves into it
+    /// and swaps it with the iterate, so neither reallocates.
+    [[nodiscard]] std::vector<real>& candidate() noexcept { return candidate_; }
 
     [[nodiscard]] const newton_solver_stats& stats() const noexcept { return stats_; }
 
 private:
-    /// True when the current stamp sequence matches the recorded one.
-    [[nodiscard]] bool pattern_matches() const noexcept;
+    /// Deposit the triplet values into the CSC value array through the
+    /// slot map while checking the stamp sequence against the recorded
+    /// one; false (values undefined) at the first mismatch.
+    [[nodiscard]] bool deposit();
     /// Rebuild CSC pattern + slot map from the current triplet entries,
     /// then run a fresh symbolic analysis on them and refactor.
     void rebuild_pattern();
-    /// Scatter triplet values into the CSC value array via the slot map.
-    void deposit();
 
     std::size_t n_;
     system_builder<real> builder_;
 
+    /// One recorded stamp: its coordinates and its CSC value slot.
+    struct recorded_stamp {
+        std::size_t row;
+        std::size_t col;
+        std::size_t slot;
+    };
+
     // Fixed CSC pattern and the stamp-sequence slot map over it.
     bool has_pattern_ = false;
     numeric::csc_matrix<real> csc_;
-    std::vector<std::size_t> slot_;      ///< triplet entry k -> CSC value slot
-    std::vector<std::size_t> entry_row_; ///< recorded stamp sequence
-    std::vector<std::size_t> entry_col_;
+    std::vector<recorded_stamp> recorded_; ///< triplet entry k -> coordinates, slot
 
     std::unique_ptr<numeric::numeric_lu<real>> num_;
+    std::vector<real> candidate_;
 
     newton_solver_stats stats_;
 };
@@ -131,8 +148,28 @@ struct newton_outcome {
     bool non_finite = false; ///< the solve returned a non-finite value
 };
 
-/// Stamps the linearization at candidate x into the builder.
-using stamp_pass = std::function<void(const std::vector<real>& x, system_builder<real>& b)>;
+/// Stamps the linearization at candidate x into the builder: a
+/// non-owning reference to the caller's callable, which must outlive the
+/// newton_iterate call it is passed to. Unlike a std::function, wrapping
+/// a lambda with several captures never allocates.
+class stamp_pass {
+public:
+    template <class F>
+        requires(!std::is_same_v<std::remove_cvref_t<F>, stamp_pass>
+                 && std::is_invocable_v<const F&, const std::vector<real>&, system_builder<real>&>)
+    stamp_pass(const F& f) noexcept // implicit: newton_iterate callers pass a lambda
+        : fn_(&f), call_([](const void* fn, const std::vector<real>& x, system_builder<real>& b) {
+              (*static_cast<const F*>(fn))(x, b);
+          })
+    {
+    }
+
+    void operator()(const std::vector<real>& x, system_builder<real>& b) const { call_(fn_, x, b); }
+
+private:
+    const void* fn_;
+    void (*call_)(const void*, const std::vector<real>&, system_builder<real>&);
+};
 
 /// Newton-iterate x in place from its current value. `nodes` is the
 /// number of leading node-voltage unknowns; the rest are branch currents.
@@ -140,9 +177,10 @@ using stamp_pass = std::function<void(const std::vector<real>& x, system_builder
 /// solve_system path with `oneshot` (the test oracle). Both run the
 /// identical iteration — only the linear-solve plumbing differs. Never
 /// throws for a singular or non-finite system: the outcome says so and
-/// the caller's ladder reacts.
+/// the caller's ladder reacts. On the shared path x trades buffers with
+/// the solver's candidate() instead of being reallocated.
 [[nodiscard]] newton_outcome newton_iterate(std::vector<real>& x, std::size_t nodes,
-                                            const newton_rules& rules, const stamp_pass& stamp,
+                                            const newton_rules& rules, stamp_pass stamp,
                                             newton_solver* shared, solver_kind oneshot);
 
 /// Node-to-ground shunt `g` on each of the first `nodes` unknowns; 0

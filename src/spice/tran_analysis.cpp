@@ -1,6 +1,7 @@
 #include "spice/tran_analysis.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -33,9 +34,9 @@ namespace {
 
 std::vector<real> tran_result::unknown_waveform(std::size_t index) const
 {
-    std::vector<real> out(solution.size());
-    for (std::size_t k = 0; k < solution.size(); ++k)
-        out[k] = solution[k][index];
+    std::vector<real> out(step_count());
+    for (std::size_t k = 0; k < out.size(); ++k)
+        out[k] = states[k * unknowns + index];
     return out;
 }
 
@@ -80,11 +81,22 @@ tran_result transient(circuit& c, const tran_options& opt)
     if (opt.shared_solver && opt.solver == solver_kind::sparse)
         shared = std::make_unique<newton_solver>(c.unknown_count());
 
+    // The waveform buffers hold every planned step (nominal steps plus
+    // breakpoint landings), so accepting a step appends without
+    // reallocating; only halved steps can outgrow them.
     tran_result res;
+    res.unknowns = op.solution.size();
+    const std::size_t planned
+        = static_cast<std::size_t>(std::ceil(opt.tstop / dt_nominal)) + breakpoints.size() + 1;
+    res.time.reserve(planned);
+    res.states.reserve(planned * res.unknowns);
     res.time.push_back(0.0);
-    res.solution.push_back(op.solution);
+    res.states.insert(res.states.end(), op.solution.begin(), op.solution.end());
 
+    // The accepted state and the candidate a step iterates on; both keep
+    // their buffers for the whole run.
     std::vector<real> x = op.solution;
+    std::vector<real> x_try;
     real t = 0.0;
     std::size_t next_bp = 0;
     bool force_be = true; // BE kick at t = 0
@@ -116,15 +128,15 @@ tran_result transient(circuit& c, const tran_options& opt)
             p.use_be = force_be;
             p.dc = dc_params;
 
-            std::vector<real> x_try = x;
+            x_try.assign(x.begin(), x.end());
             const newton_outcome out = solve_step(c, x_try, p, opt, shared.get());
             if (out.converged) {
                 for (const auto& dev : c.devices())
                     dev->tran_accept(x_try, p);
-                x = std::move(x_try);
+                x.swap(x_try);
                 t = p.t1;
                 res.time.push_back(t);
-                res.solution.push_back(x);
+                res.states.insert(res.states.end(), x.begin(), x.end());
                 accepted = true;
                 force_be = false;
             } else {

@@ -12,6 +12,8 @@
 #ifndef ACSTAB_SPICE_TRAN_ANALYSIS_H
 #define ACSTAB_SPICE_TRAN_ANALYSIS_H
 
+#include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,7 +48,10 @@ struct tran_options {
 
 struct tran_result {
     std::vector<real> time;
-    std::vector<std::vector<real>> solution; ///< [step][unknown]
+    /// Accepted solutions, step-major in one buffer: step k's unknowns
+    /// are states[k * unknowns .. (k + 1) * unknowns) (see state()).
+    std::vector<real> states;
+    std::size_t unknowns = 0;
     /// Shared-path solver counters (all zero on the one-shot/dense path).
     newton_solver_stats solver;
     /// Set when every step size from the last stored time on gave a
@@ -56,6 +61,12 @@ struct tran_result {
     bool diverged = false;
 
     [[nodiscard]] std::size_t step_count() const noexcept { return time.size(); }
+
+    /// Solution vector of accepted step k.
+    [[nodiscard]] std::span<const real> state(std::size_t k) const noexcept
+    {
+        return {states.data() + k * unknowns, unknowns};
+    }
 
     /// Waveform of one unknown over time.
     [[nodiscard]] std::vector<real> unknown_waveform(std::size_t index) const;

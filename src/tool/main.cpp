@@ -442,9 +442,10 @@ void write_output(const std::string& text, const std::string& out_path)
 
 /// Read + parse one farm JSON file with the actionable corrupt-file
 /// diagnostic (file name, byte offset, crashed-writer hint).
-[[nodiscard]] farm::json_value parse_document_file(const std::string& path)
+[[nodiscard]] farm::json_value parse_document_file(const std::string& path,
+                                                   farm::farm_document kind)
 {
-    return farm::parse_shard_document(read_file(path), path);
+    return farm::parse_farm_document(read_file(path), path, kind);
 }
 
 int cmd_farm_plan(const std::string& netlist_path, const cli_options& opt)
@@ -585,7 +586,7 @@ int cmd_farm_plan(const std::string& netlist_path, const cli_options& opt)
 int cmd_farm_run(const std::string& plan_path, const cli_options& opt)
 {
     const farm::campaign_spec spec
-        = farm::campaign_from_json(parse_document_file(plan_path));
+        = farm::campaign_from_json(parse_document_file(plan_path, farm::farm_document::plan));
     shard_spec sh;
     if (!opt.shard.empty())
         sh = parse_shard_spec(opt.shard);
@@ -608,7 +609,7 @@ int cmd_farm_merge(const std::string& plan_path, const cli_options& opt)
     if (opt.positionals.empty())
         throw analysis_error("farm merge: pass at least one shard stream");
     const farm::campaign_spec spec
-        = farm::campaign_from_json(parse_document_file(plan_path));
+        = farm::campaign_from_json(parse_document_file(plan_path, farm::farm_document::plan));
 
     // O(1) resident records regardless of campaign size. --table needs
     // the parsed report, so it rides through a temp file when no --out
@@ -619,7 +620,8 @@ int cmd_farm_merge(const std::string& plan_path, const cli_options& opt)
     const farm::stream_merge_result merged
         = farm::merge_shard_streams(spec, opt.positionals, {}, out_path);
     if (opt.table) {
-        const farm::json_value report = parse_document_file(out_path);
+        const farm::json_value report
+            = parse_document_file(out_path, farm::farm_document::report);
         if (opt.out.empty())
             std::remove(out_path.c_str());
         std::fputs(farm::format_report(report).c_str(), stdout);
@@ -645,7 +647,7 @@ extern "C" void farm_interrupt_handler(int)
 int cmd_farm_exec(const std::string& plan_path, const cli_options& opt)
 {
     const farm::campaign_spec spec
-        = farm::campaign_from_json(parse_document_file(plan_path));
+        = farm::campaign_from_json(parse_document_file(plan_path, farm::farm_document::plan));
 
     farm::exec_options eopt;
     eopt.workers = opt.workers;
@@ -699,7 +701,7 @@ int cmd_farm_worker(const std::string& plan_path, const cli_options& opt)
         throw analysis_error("farm worker: --shard-file is required (internal command "
                              "spawned by 'farm exec')");
     const farm::campaign_spec spec
-        = farm::campaign_from_json(parse_document_file(plan_path));
+        = farm::campaign_from_json(parse_document_file(plan_path, farm::farm_document::plan));
     return farm::run_worker(spec, opt.shard_file, opt.worker_id);
 }
 

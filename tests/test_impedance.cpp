@@ -11,6 +11,9 @@
 #include "analysis/impedance.h"
 #include "analysis/pole_zero.h"
 #include "common/error.h"
+#include "engine/linearized_snapshot.h"
+#include "engine/sweep_channels.h"
+#include "numeric/interpolation.h"
 #include "spice/dc_analysis.h"
 #include "spice/parser/netlist_parser.h"
 
@@ -76,6 +79,79 @@ TEST(impedance_partition, forced_elements_resolve_shunt_only_nodes)
         = analysis::partition_at_node(net.ckt, "tank", {"l1"});
     EXPECT_EQ(part.source_devices, std::vector<std::string>{"l1"});
     EXPECT_EQ(part.load_devices, (std::vector<std::string>{"r1", "c1"}));
+}
+
+/// A current-controlled source on the far side of the port from its
+/// controlling voltage source: f1 at x copies 10x the current vsense
+/// carries from the source side.
+constexpr const char* cross_port_cccs_netlist = "* CCCS across the partition port\n"
+                                                "vs in 0 dc 0 ac 1\n"
+                                                "vsense in a 0\n"
+                                                "r1 a port 1k\n"
+                                                "c1 port 0 1n\n"
+                                                "r2 port x 1k\n"
+                                                "f1 x 0 vsense 10\n"
+                                                "c2 x 0 1n\n"
+                                                ".end\n";
+
+/// The partition identity: both sides' snapshots hold the port's
+/// gshunt, so 1 / (1/Z_s + 1/Z_l - gshunt) is the full circuit's
+/// driving-point impedance at the port, which a unit-current injection
+/// sweep of the unpartitioned circuit measures directly.
+void expect_sides_recombine_to_full_circuit(spice::parsed_netlist net, const workload& w)
+{
+    analysis::impedance_options opt;
+    opt.fstart = w.fstart;
+    opt.fstop = w.fstop;
+    opt.points_per_decade = 10;
+    opt.source_elements = w.source;
+    const analysis::impedance_result res = analysis::analyze_impedance(net.ckt, w.node, opt);
+
+    const std::size_t port = static_cast<std::size_t>(*net.ckt.find_node(w.node));
+    spice::dc_options dc;
+    dc.gmin = opt.gmin;
+    const spice::dc_result op = spice::dc_operating_point(net.ckt, dc);
+    engine::snapshot_options sopt;
+    sopt.gmin = opt.gmin;
+    sopt.gshunt = opt.gshunt;
+    sopt.zero_all_sources = true;
+    const engine::linearized_snapshot full(net.ckt, op.solution, sopt);
+    const std::vector<real> grid
+        = numeric::log_grid(opt.fstart, opt.fstop, opt.points_per_decade);
+    const std::vector<engine::sweep_engine::injection> unit{{port, cplx{1.0, 0.0}}};
+    std::vector<cplx> z_full(grid.size());
+    (void)engine::sweep_channels(
+        full, grid, std::nullopt, unit, {{0, port}}, opt,
+        {[](const std::vector<real>&) {},
+         [&z_full](std::size_t fi, std::size_t, cplx v) { z_full[fi] = v; }});
+
+    ASSERT_EQ(res.freq_hz, grid) << w.netlist;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        const cplx z = 1.0 / (1.0 / res.z_source[i] + 1.0 / res.z_load[i] - opt.gshunt);
+        EXPECT_LE(std::abs(z - z_full[i]), 1e-9 * std::abs(z_full[i]))
+            << w.netlist << " at " << grid[i] << " Hz: sides give " << z << ", full circuit "
+            << z_full[i];
+    }
+}
+
+TEST(impedance_partition, current_controlled_source_stays_with_its_control)
+{
+    spice::parsed_netlist net = spice::parse_netlist(cross_port_cccs_netlist);
+    const analysis::impedance_partition part = analysis::partition_at_node(net.ckt, "port");
+    const std::vector<std::string> source{"vs", "vsense", "r1", "r2", "f1", "c2"};
+    EXPECT_EQ(part.source_devices, source);
+    EXPECT_EQ(part.load_devices, std::vector<std::string>{"c1"});
+    // At 1 kHz the full circuit's driving-point impedance is about
+    // -111.1 - 0.93j ohm (the gain-10 feedback makes it negative); with
+    // f1 cut off from vsense the sides recombined to 999.8 - 12.6j.
+    expect_sides_recombine_to_full_circuit(spice::parse_netlist(cross_port_cccs_netlist),
+                                           {"cross-port CCCS", "port", {}, 1e2, 1e7});
+}
+
+TEST(impedance_partition, sides_recombine_to_the_full_circuit_on_shipped_netlists)
+{
+    for (const workload& w : shipped_workloads())
+        expect_sides_recombine_to_full_circuit(load(w.netlist), w);
 }
 
 TEST(impedance_partition, rejects_unknown_nodes_and_elements)

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -164,6 +165,71 @@ TEST(json_fuzz, truncated_frames_are_rejected_or_stable_at_every_length)
                             "\"n\":-0.125}";
     for (std::size_t len = 0; len <= doc.size(); ++len)
         expect_reject_or_fixed_point(doc.substr(0, len));
+}
+
+// --- member scan agrees with the tree ---------------------------------------
+
+/// parse_member() against parse(): the same parse_error text (and so the
+/// same offset) on malformed input, otherwise the tree's own member.
+void expect_member_scan_matches_tree(const std::string& bytes, const std::string& key)
+{
+    std::string tree_error;
+    std::string tree_member = "<absent>";
+    try {
+        const json_value tree = json_value::parse(bytes);
+        if (const json_value* m = tree.find(key))
+            tree_member = m->dump();
+    } catch (const parse_error& e) {
+        tree_error = e.what();
+    }
+    std::string scan_error;
+    std::string scan_member = "<absent>";
+    try {
+        if (const std::optional<json_value> m = json_value::parse_member(bytes, key))
+            scan_member = m->dump();
+    } catch (const parse_error& e) {
+        scan_error = e.what();
+    }
+    EXPECT_EQ(scan_error, tree_error) << "input: " << bytes.substr(0, 200);
+    EXPECT_EQ(scan_member, tree_member) << "input: " << bytes.substr(0, 200);
+}
+
+TEST(json_fuzz, member_scan_matches_the_tree_on_mutated_records)
+{
+    lcg r(0x1d3eu);
+    static const char inserts[] = "+-.eE\"\\[]{},:0un\x00\x01\x7f";
+    for (int i = 0; i < 500; ++i) {
+        // A record-like object: its index (plain, escaped or repeated)
+        // beside random members, some holding an index of their own.
+        json_value rec = json_value::object();
+        rec.set("index", json_value::number(static_cast<std::size_t>(r.below(1000))));
+        rec.set("a", random_value(r, 3));
+        json_value inner = json_value::object();
+        inner.set("index", random_value(r, 1));
+        rec.set("b", inner);
+        std::string bytes = rec.dump();
+        if (r.below(4) == 0)
+            bytes.insert(bytes.size() - 1, ",\"index\":" + random_value(r, 1).dump());
+        if (r.below(4) == 0)
+            bytes.replace(2, 1, "\\u0069");
+        expect_member_scan_matches_tree(bytes, "index");
+        for (int m = 0; m < 6; ++m) {
+            if (bytes.empty())
+                break;
+            const std::size_t pos = r.below(bytes.size());
+            switch (r.below(5)) {
+            case 0: bytes.resize(pos); break;
+            case 1: bytes.erase(pos, 1); break;
+            case 2: bytes.insert(pos, 1, bytes[pos]); break;
+            case 3: bytes.insert(pos, 1, inserts[r.below(sizeof inserts - 1)]); break;
+            default: bytes[pos] = static_cast<char>(bytes[pos] ^ (1 << r.below(8))); break;
+            }
+            expect_member_scan_matches_tree(bytes, "index");
+        }
+    }
+    // Documents that are no object, or hold the key only deeper down.
+    for (const char* doc : {"[1,2]", "7", "\"index\"", "{\"x\":{\"index\":3}}", "{}"})
+        expect_member_scan_matches_tree(doc, "index");
 }
 
 // --- number grammar edge cases ---------------------------------------------

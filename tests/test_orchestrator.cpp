@@ -272,18 +272,39 @@ TEST(shard_stream, mid_file_corruption_error_is_actionable)
 
 TEST(shard_stream, truncated_document_error_is_actionable)
 {
-    // Whole-document files (plans, the journal header) get the same
-    // treatment via parse_shard_document.
-    try {
-        (void)farm::parse_shard_document("{\"schema\":\"acstab-farm-journal-v1\",\"cam",
-                                         "journal.jsonl");
-        FAIL() << "truncated document must not parse";
-    } catch (const analysis_error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("journal.jsonl"), std::string::npos) << what;
-        EXPECT_NE(what.find("offset"), std::string::npos) << what;
-        EXPECT_NE(what.find("--resume"), std::string::npos) << what;
-    }
+    // Whole-document files (plans, reports, the journal header) name
+    // what they are, where the parse stopped and a recovery that works
+    // for that kind of document.
+    const auto error_of = [](const std::string& text, const std::string& name,
+                             farm::farm_document kind) -> std::string {
+        try {
+            (void)farm::parse_farm_document(text, name, kind);
+        } catch (const analysis_error& e) {
+            return e.what();
+        }
+        ADD_FAILURE() << "truncated " << name << " must not parse";
+        return {};
+    };
+    const std::string journal = error_of("{\"schema\":\"acstab-farm-journal-v1\",\"cam",
+                                         "run.work/journal.jsonl", farm::farm_document::journal);
+    EXPECT_NE(journal.find("journal 'run.work/journal.jsonl'"), std::string::npos) << journal;
+    EXPECT_NE(journal.find("offset"), std::string::npos) << journal;
+    EXPECT_NE(journal.find("acstab farm merge PLAN run.work/worker-*.jsonl"), std::string::npos)
+        << journal;
+    EXPECT_EQ(journal.find("--resume"), std::string::npos) << journal;
+
+    const std::string plan
+        = error_of("{\"schema\":\"acstab-farm-campaign-v1\",\"net", "plan.json",
+                   farm::farm_document::plan);
+    EXPECT_NE(plan.find("plan 'plan.json'"), std::string::npos) << plan;
+    EXPECT_NE(plan.find("offset"), std::string::npos) << plan;
+    EXPECT_NE(plan.find("acstab farm plan"), std::string::npos) << plan;
+    EXPECT_EQ(plan.find("--resume"), std::string::npos) << plan;
+
+    const std::string report
+        = error_of("{\"schema\":", "report.json", farm::farm_document::report);
+    EXPECT_NE(report.find("report 'report.json'"), std::string::npos) << report;
+    EXPECT_NE(report.find("acstab farm merge"), std::string::npos) << report;
 }
 
 TEST(shard_stream, merge_folds_byte_identical_duplicates_and_rejects_conflicts)

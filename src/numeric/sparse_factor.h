@@ -357,10 +357,6 @@ public:
         const std::size_t n = sym_->size();
         if (a.rows() != n || a.cols() != n)
             throw numeric_error("numeric_lu: refactor size mismatch");
-        if (snmode_ && sym_->supernodes().count() == 1) {
-            refactor_one_supernode(a);
-            return;
-        }
         if (snmode_)
             refactor_supernodal(a);
         else
@@ -600,10 +596,12 @@ private:
     /// Positions without a structural entry (the rows of a span before a
     /// column's first U entry, relaxed padding) hold exact zeros
     /// throughout, so every structural value is the column path's up to
-    /// rounding. A matrix that is a single supernode runs step 3 only
-    /// (refactor_one_supernode).
+    /// rounding. A matrix that is a single supernode runs step 3 only.
     void refactor_supernodal(const csc_matrix<T>& a)
     {
+        const auto& lcol_ptr = sym_->lcol_ptr();
+        const auto& ucol_ptr = sym_->ucol_ptr();
+        const auto& urow = sym_->urow();
         const auto& pinv = sym_->pinv();
         const auto& qperm = sym_->q();
         const supernode_partition& sn = sym_->supernodes();
@@ -651,134 +649,83 @@ private:
             }
 
             for (std::size_t q = 0; q < npairs; ++q)
-                update_pair_(pairs[q], plan, sn, sym_->urow(), above, lda, pant, ldt);
+                update_pair_(pairs[q], plan, sn, urow, above, lda, pant, ldt);
 
-            for (std::size_t c = 0; c < wt; ++c)
-                eliminate_column_(ft, c, pant, ldt, plan);
-        }
-    }
+            for (std::size_t c = 0; c < wt; ++c) {
+                const std::size_t k = ft + c;
+                // In-block span: the column's U rows inside T, from its
+                // first in-block entry up to the column itself, solved
+                // against T's own finished columns.
+                T* pancol_t = pant + c * ldt;
+                const std::size_t ulast = ucol_ptr[k + 1] - 1;
+                const std::size_t p0 = plan.u_split[k];
+                if (p0 < ulast) {
+                    const std::size_t jrel = urow[p0] - ft;
+                    const std::size_t m = c - jrel;
+                    const T* lrun = pant + jrel * ldt; // span's first L column
+                    if (m == 1) {
+                        // Singleton span: no triangular solve, and the
+                        // diagonal tail and sub-rows are one contiguous
+                        // range in both panel columns.
+                        const T u0 = pancol_t[jrel];
+                        uval_[p0] = u0;
+                        if (u0 != T{})
+                            mul_sub_(pancol_t + c, lrun + c, u0, ldt - c);
+                    } else {
+                        // Dense unit-lower solve in place; contributing
+                        // (nonzero) columns are collected as their values
+                        // become final, so the update skips exact zeros.
+                        T* u = pancol_t + jrel;
+                        std::size_t* idx = sn_idx_.data();
+                        std::size_t nc = 0;
+                        for (std::size_t i = 0; i < m; ++i) {
+                            const T ui = u[i];
+                            if (ui == T{})
+                                continue;
+                            idx[nc++] = i;
+                            mul_sub_(u + i + 1, lrun + i * ldt + (jrel + i + 1), ui, m - i - 1);
+                        }
+                        // CSC stores only the structural subset of the span.
+                        const std::size_t cnt = ulast - p0;
+                        if (cnt == m) {
+                            for (std::size_t i = 0; i < m; ++i)
+                                uval_[p0 + i] = u[i];
+                        } else {
+                            for (std::size_t e = 0; e < cnt; ++e)
+                                uval_[p0 + e] = pancol_t[urow[p0 + e] - ft];
+                        }
+                        // The diagonal tail and the sub-rows: dense rank-2
+                        // streams down the panel column.
+                        const std::size_t len = ldt - c;
+                        T* dst = pancol_t + c;
+                        const T* lc = lrun + c;
+                        std::size_t ii = 0;
+                        if (nc & 1) {
+                            mul_sub_(dst, lc + idx[0] * ldt, u[idx[0]], len);
+                            ii = 1;
+                        }
+                        for (; ii + 1 < nc; ii += 2)
+                            mul_sub2_(dst, lc + idx[ii] * ldt, u[idx[ii]], lc + idx[ii + 1] * ldt,
+                                      u[idx[ii + 1]], len);
+                    }
+                }
 
-    /// refactor() of a factor that is one supernode (small circuits: one
-    /// transistor cell, a behavioural loop, a tank): the panel is the
-    /// whole n x n matrix in pivot order, so A scatters straight into it
-    /// and step 3 is the entire elimination. The growth witness's three
-    /// maxima are taken as A is scattered and as each column's U and L
-    /// values are written, instead of in three passes afterwards; a
-    /// maximum does not depend on the order it is taken in, so growth()
-    /// is the multi-supernode formula's value bit for bit.
-    void refactor_one_supernode(const csc_matrix<T>& a)
-    {
-        const std::size_t n = sym_->size();
-        const auto& pinv = sym_->pinv();
-        const auto& qperm = sym_->q();
-        const auto& lcol_ptr = sym_->lcol_ptr();
-        const auto& ucol_ptr = sym_->ucol_ptr();
-        T* pan = panels_.data();
-        std::fill(pan, pan + n * n, T{});
-        double amax = 0.0;
-        for (std::size_t c = 0; c < n; ++c) {
-            const std::size_t col = qperm[c];
-            T* pc = pan + c * n;
-            for (std::size_t p = a.col_ptr()[col]; p < a.col_ptr()[col + 1]; ++p) {
-                pc[pinv[a.row_idx()[p]]] += a.values()[p];
-                amax = max_l1_step(amax, a.values()[p]);
+                const T pivot = pancol_t[c];
+                if (pivot == T{})
+                    throw numeric_error("numeric_lu: refactor hit a zero pivot at column "
+                                        + std::to_string(qperm[k]));
+                uval_[ulast] = pivot;
+                const T rpivot = T{1.0} / pivot;
+                sn_rdiag_[k] = rpivot;
+                // Dense in-place scale of the panel's L region (padded
+                // positions hold exact zeros and stay zero), then gather
+                // the CSC L values from their panel slots.
+                for (std::size_t r = c + 1; r < ldt; ++r)
+                    pancol_t[r] = cmul_(pancol_t[r], rpivot);
+                for (std::size_t q = lcol_ptr[k]; q < lcol_ptr[k + 1]; ++q)
+                    lval_[q] = pancol_t[plan.lpanel_pos[q]];
             }
         }
-        double lmax = 0.0;
-        double umax = 0.0;
-        for (std::size_t c = 0; c < n; ++c) {
-            eliminate_column_(0, c, pan, n, sym_->plan());
-            for (std::size_t p = ucol_ptr[c]; p < ucol_ptr[c + 1]; ++p)
-                umax = max_l1_step(umax, uval_[p]);
-            for (std::size_t p = lcol_ptr[c]; p < lcol_ptr[c + 1]; ++p)
-                lmax = max_l1_step(lmax, lval_[p]);
-        }
-        growth_ = std::max(lmax, amax > 0.0 ? umax / amax : 0.0);
-    }
-
-    /// Step 3 of refactor_supernodal for column c of the target whose
-    /// first column is ft and whose panel is pant (leading dimension
-    /// ldt): solve its in-block U span, update the rest of the panel
-    /// column, take the pivot and scale the L region. Always inlined: a
-    /// call per column costs a small factor more than the column's work.
-    [[gnu::always_inline]] void eliminate_column_(std::size_t ft, std::size_t c, T* pant,
-                                                  std::size_t ldt, const supernode_plan& plan)
-    {
-        const auto& lcol_ptr = sym_->lcol_ptr();
-        const auto& ucol_ptr = sym_->ucol_ptr();
-        const auto& urow = sym_->urow();
-        const std::size_t k = ft + c;
-        // In-block span: the column's U rows inside T, from its first
-        // in-block entry up to the column itself, solved against T's own
-        // finished columns.
-        T* pancol_t = pant + c * ldt;
-        const std::size_t ulast = ucol_ptr[k + 1] - 1;
-        const std::size_t p0 = plan.u_split[k];
-        if (p0 < ulast) {
-            const std::size_t jrel = urow[p0] - ft;
-            const std::size_t m = c - jrel;
-            const T* lrun = pant + jrel * ldt; // span's first L column
-            if (m == 1) {
-                // Singleton span: no triangular solve, and the diagonal
-                // tail and sub-rows are one contiguous range in both
-                // panel columns.
-                const T u0 = pancol_t[jrel];
-                uval_[p0] = u0;
-                if (u0 != T{})
-                    mul_sub_(pancol_t + c, lrun + c, u0, ldt - c);
-            } else {
-                // Dense unit-lower solve in place; contributing (nonzero)
-                // columns are collected as their values become final, so
-                // the update skips exact zeros.
-                T* u = pancol_t + jrel;
-                std::size_t* idx = sn_idx_.data();
-                std::size_t nc = 0;
-                for (std::size_t i = 0; i < m; ++i) {
-                    const T ui = u[i];
-                    if (ui == T{})
-                        continue;
-                    idx[nc++] = i;
-                    mul_sub_(u + i + 1, lrun + i * ldt + (jrel + i + 1), ui, m - i - 1);
-                }
-                // CSC stores only the structural subset of the span.
-                const std::size_t cnt = ulast - p0;
-                if (cnt == m) {
-                    for (std::size_t i = 0; i < m; ++i)
-                        uval_[p0 + i] = u[i];
-                } else {
-                    for (std::size_t e = 0; e < cnt; ++e)
-                        uval_[p0 + e] = pancol_t[urow[p0 + e] - ft];
-                }
-                // The diagonal tail and the sub-rows: dense rank-2 streams
-                // down the panel column.
-                const std::size_t len = ldt - c;
-                T* dst = pancol_t + c;
-                const T* lc = lrun + c;
-                std::size_t ii = 0;
-                if (nc & 1) {
-                    mul_sub_(dst, lc + idx[0] * ldt, u[idx[0]], len);
-                    ii = 1;
-                }
-                for (; ii + 1 < nc; ii += 2)
-                    mul_sub2_(dst, lc + idx[ii] * ldt, u[idx[ii]], lc + idx[ii + 1] * ldt,
-                              u[idx[ii + 1]], len);
-            }
-        }
-
-        const T pivot = pancol_t[c];
-        if (pivot == T{})
-            throw numeric_error("numeric_lu: refactor hit a zero pivot at column "
-                                + std::to_string(sym_->q()[k]));
-        uval_[ulast] = pivot;
-        const T rpivot = T{1.0} / pivot;
-        sn_rdiag_[k] = rpivot;
-        // Dense in-place scale of the panel's L region (padded positions
-        // hold exact zeros and stay zero), then gather the CSC L values
-        // from their panel slots.
-        for (std::size_t r = c + 1; r < ldt; ++r)
-            pancol_t[r] = cmul_(pancol_t[r], rpivot);
-        for (std::size_t q = lcol_ptr[k]; q < lcol_ptr[k + 1]; ++q)
-            lval_[q] = pancol_t[plan.lpanel_pos[q]];
     }
 
     /// x[q] <- l^-1 x[q] for the pair's n columns of m values each; l is
@@ -1302,16 +1249,12 @@ private:
             if (snk_ok_)
                 return snk::max_l1(reinterpret_cast<const double*>(v.data()), v.size());
         double m = 0.0;
-        for (const T& x : v)
-            m = max_l1_step(m, x);
+        for (const T& x : v) {
+            const double mag = std::abs(std::real(x)) + std::abs(std::imag(x));
+            if (mag > m)
+                m = mag;
+        }
         return m;
-    }
-
-    /// One step of max_l1: m raised to |re x| + |im x|, a NaN ignored.
-    [[nodiscard]] static double max_l1_step(double m, const T& x) noexcept
-    {
-        const double mag = std::abs(std::real(x)) + std::abs(std::imag(x));
-        return mag > m ? mag : m;
     }
 
     std::shared_ptr<const symbolic_lu<T>> sym_;

@@ -35,10 +35,9 @@
 // factorization are rebuilt and the run continues.
 //
 // In the steady state a Newton iteration allocates nothing: the stamp
-// pass refills the builder's kept capacity, the solution lands in the
-// solver's candidate buffer, which newton_iterate swaps with the iterate,
-// and a small circuit's one-supernode factor refactors in place
-// (numeric_lu::refactor).
+// pass refills the builder's kept capacity, the numeric refactorization
+// reuses its factor storage, and the solution lands in the solver's
+// candidate buffer, which newton_iterate swaps with the iterate.
 //
 // Numeric safety is numeric_lu::factor's guard, the one every reused
 // pivot order goes through: a zero pivot, or element growth confirmed by

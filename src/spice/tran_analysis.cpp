@@ -1,7 +1,6 @@
 #include "spice/tran_analysis.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -81,15 +80,10 @@ tran_result transient(circuit& c, const tran_options& opt)
     if (opt.shared_solver && opt.solver == solver_kind::sparse)
         shared = std::make_unique<newton_solver>(c.unknown_count());
 
-    // The waveform buffers hold every planned step (nominal steps plus
-    // breakpoint landings), so accepting a step appends without
-    // reallocating; only halved steps can outgrow them.
+    // The waveform buffers grow geometrically as steps are accepted, so a
+    // run reallocates them O(log steps) times.
     tran_result res;
     res.unknowns = op.solution.size();
-    const std::size_t planned
-        = static_cast<std::size_t>(std::ceil(opt.tstop / dt_nominal)) + breakpoints.size() + 1;
-    res.time.reserve(planned);
-    res.states.reserve(planned * res.unknowns);
     res.time.push_back(0.0);
     res.states.insert(res.states.end(), op.solution.begin(), op.solution.end());
 

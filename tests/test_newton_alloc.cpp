@@ -1,10 +1,12 @@
 // Allocation audit of the Newton loop: once the first solve has recorded
 // the stamp pattern and built the symbolic analysis, a DC Newton
-// iteration and a transient step allocate nothing. Every global
-// operator new in the process is counted; the assertions read the count
-// across the window under test only.
+// iteration allocates nothing, and a transient run's allocations do not
+// grow with its step count. Every global operator new in the process is
+// counted; the assertions read the count across the window under test
+// only.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -26,25 +28,84 @@ namespace {
 
 std::atomic<std::size_t> g_allocations{0};
 
-} // namespace
-
-void* operator new(std::size_t size)
+[[nodiscard]] void* counted_malloc(std::size_t size) noexcept
 {
     ++g_allocations;
-    if (void* p = std::malloc(size != 0 ? size : 1))
+    return std::malloc(size != 0 ? size : 1);
+}
+
+[[nodiscard]] void* counted_aligned(std::size_t size, std::align_val_t align) noexcept
+{
+    ++g_allocations;
+    void* p = nullptr;
+    // posix_memalign, not std::aligned_alloc: operator new sizes need not
+    // be multiples of the alignment.
+    const std::size_t a = std::max(static_cast<std::size_t>(align), sizeof(void*));
+    return posix_memalign(&p, a, size != 0 ? size : 1) == 0 ? p : nullptr;
+}
+
+} // namespace
+
+// Every replaceable allocation function is replaced, so each block the
+// process frees comes from this file's malloc (a library's nothrow or
+// aligned operator new paired with this file's delete would mismatch
+// under a sanitizer runtime).
+void* operator new(std::size_t size)
+{
+    if (void* p = counted_malloc(size))
         return p;
     throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept
+void* operator new[](std::size_t size)
 {
-    std::free(p);
+    return operator new(size);
 }
 
-void operator delete(void* p, std::size_t) noexcept
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept
 {
-    std::free(p);
+    return counted_malloc(size);
 }
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept
+{
+    return counted_malloc(size);
+}
+
+void* operator new(std::size_t size, std::align_val_t align)
+{
+    if (void* p = counted_aligned(size, align))
+        return p;
+    throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size, std::align_val_t align)
+{
+    return operator new(size, align);
+}
+
+void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept
+{
+    return counted_aligned(size, align);
+}
+
+void* operator new[](std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept
+{
+    return counted_aligned(size, align);
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -159,18 +220,21 @@ void expect_dc_iterations_allocation_free(const std::string& netlist, std::size_
     return allocations;
 }
 
-/// Twice the steps, the same allocations: the DC operating point, the
-/// pattern and the waveform buffers are set up once, and no step adds
-/// to them.
+/// Four times the steps, next to no more allocations: the DC operating
+/// point and the pattern are set up once, the step loop reuses its
+/// vectors, and the two waveform buffers (times, states) double as they
+/// grow, so between 101 and 401 stored steps each reallocates at most
+/// three times. One allocation per step would add 300.
 void expect_tran_steps_allocation_free(const std::string& netlist, const std::string& source)
 {
     std::size_t solves_short = 0;
     std::size_t solves_long = 0;
     const std::size_t short_run = tran_allocations(netlist, source, 100, solves_short);
-    const std::size_t long_run = tran_allocations(netlist, source, 200, solves_long);
-    EXPECT_GE(solves_long, solves_short + 100) << netlist;
-    EXPECT_EQ(long_run, short_run) << netlist << ": " << solves_long - solves_short
-                                   << " more Newton solves";
+    const std::size_t long_run = tran_allocations(netlist, source, 400, solves_long);
+    EXPECT_GE(solves_long, solves_short + 300) << netlist;
+    EXPECT_GE(long_run, short_run) << netlist;
+    EXPECT_LE(long_run - short_run, 6u) << netlist << ": " << solves_long - solves_short
+                                        << " more Newton solves";
 }
 
 TEST(newton_alloc, one_supernode_dc_iterations_allocate_nothing)
